@@ -7,6 +7,13 @@ the whole curve and the set of maximizing grid points, reported by the
 smallest maximizer. The configuration search evaluates every smell
 configuration this way and adds a pseudo-ideal bound that picks the best
 (configuration, alpha) pair per system.
+
+The sweep is exact: at every grid point it gives the ranking a full stable
+sort by descending blended score would, with ties broken by ascending module
+id. It never builds that ranking. Each blended score is linear in alpha, so
+every other module passes a gold module at most once along the grid; the
+sweep counts, per gold module, how many modules lead it at each grid point,
+and compares the blended floats directly only next to a crossing.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import Mapping, Sequence
 
-from .metrics import ranking_stats
 from .smells import (
     AGGREGATORS,
     BOTH_GRANULARITIES,
@@ -151,69 +158,189 @@ def normalized_smell(system: System, config: SmellConfiguration) -> dict[str, fl
 
 
 _N_STATS = 6  # hits at 1, 5, 10, reciprocal-rank sum, precision sum, reports
+_STAT_INDEX = {metric: k for k, metric in enumerate(METRIC_NAMES)}
+
+_BETA_GRID = tuple(1.0 - alpha for alpha in ALPHA_GRID)
+_STEPS = len(ALPHA_GRID) - 1  # grid point i is alpha i / _STEPS
+
+# Where the line through two modules' endpoint differences lies within this
+# distance of zero, the sweep compares the blended floats themselves. On
+# inputs in [0, 1] evaluating beta * s + alpha * h is off by a few ulps
+# (about 1e-16), so everywhere else the line's sign is the float order.
+_NEAR_TIE = 1e-12
 
 
-def _sweep_stats(
-    system: System,
-    scores: TechniqueScores,
-    norm_smell: Mapping[str, float],
-) -> list[tuple[float, ...]]:
-    """Per grid alpha: pooled outcome stats over the system's bug reports.
+@dataclass(frozen=True)
+class _Report:
+    """One bug report, ready to sweep against any smell vector."""
 
-    Returns, for each alpha, (top1 hits, top5 hits, top10 hits, sum of
-    reciprocal ranks, sum of average precisions, report count).
-    """
+    scores: tuple[float, ...]  # normalized scores in ascending module order
+    gold: tuple[int, ...]  # indices of the gold modules in the universe
+    gold_count: int  # gold modules, counting those the universe lacks
+
+
+def _reports(system: System, scores: TechniqueScores) -> list[_Report]:
+    """Normalize every bug report's scores over the sorted universe once."""
     modules = tuple(sorted(system.modules))
-    m_count = len(modules)
-    indices = range(m_count)
-    smell_vec = [norm_smell[m] for m in modules]
-    per_alpha = [[0.0] * _N_STATS for _ in ALPHA_GRID]
+    universe = set(modules)
+    reports = []
     for bug_id in system.bug_ids:
         raw = scores.by_bug.get(bug_id, {})
         norm_score = normalize({m: raw.get(m, 0.0) for m in modules})
-        score_vec = [norm_score[m] for m in modules]
-        # Gold modules the universe lacks still dilute precision; negative
-        # sentinels keep them countable without ever matching a ranked index.
         gold = system.gold[bug_id]
-        gold_idx = {i for i in indices if modules[i] in gold}
-        gold_idx.update(-(k + 1) for k in range(len(gold - set(modules))))
-        outcome_cache: dict[tuple[int, ...], tuple[float, float, float, float, float]] = {}
-        for ai, alpha in enumerate(ALPHA_GRID):
-            beta = 1.0 - alpha
-            combined = [
-                beta * score_vec[i] + alpha * smell_vec[i] for i in indices
-            ]
-            # Stable reverse sort: ties stay in ascending index order, and
-            # indices follow ascending module id.
-            order = tuple(sorted(indices, key=combined.__getitem__, reverse=True))
-            stats = outcome_cache.get(order)
-            if stats is None:
-                rank, ap = ranking_stats(order, gold_idx)
-                stats = (
-                    1.0 if rank is not None and rank <= 1 else 0.0,
-                    1.0 if rank is not None and rank <= 5 else 0.0,
-                    1.0 if rank is not None and rank <= 10 else 0.0,
-                    1.0 / rank if rank is not None else 0.0,
-                    ap,
-                )
-                outcome_cache[order] = stats
-            row = per_alpha[ai]
+        if not gold:
+            raise ValueError("empty gold set")
+        gold_idx = tuple(i for i, m in enumerate(modules) if m in gold)
+        reports.append(
+            _Report(
+                scores=tuple(norm_score[m] for m in modules),
+                gold=gold_idx,
+                # Gold modules the universe lacks still dilute precision.
+                gold_count=len(gold_idx) + len(gold - universe),
+            )
+        )
+    return reports
+
+
+def _ahead_counts(
+    score_vec: Sequence[float], smell_vec: Sequence[float], g: int
+) -> list[int]:
+    """Per grid alpha, how many modules rank ahead of module g.
+
+    Module j is ahead when its blended score is larger, or equal with j < g:
+    the order of a stable reverse sort over ascending module indices. The
+    blend is linear in alpha, so c_j - c_g follows the line
+    ds + alpha * (dh - ds) through the endpoint differences and changes sign
+    at most once; a difference array over the grid records where j is ahead.
+    Grid points where the line is within _NEAR_TIE of zero compare the
+    blended floats themselves.
+    """
+    sg = score_vec[g]
+    hg = smell_vec[g]
+    tol = _NEAR_TIE
+    wide = tol * _STEPS
+    last = _STEPS
+    diff = [0] * (last + 3)
+    cg = None
+    for j, (sj, hj) in enumerate(zip(score_vec, smell_vec)):
+        ds = sj - sg
+        dh = hj - hg
+        if ds > tol:
+            if dh > tol:
+                diff[0] += 1
+                continue
+        elif ds < -tol and dh < -tol:
+            continue
+        if dh == 0.0:
+            if ds == 0.0:
+                # Equal inputs blend to equal floats at every alpha.
+                if j < g:
+                    diff[0] += 1
+                continue
+            if ds > wide or ds < -wide:
+                # Equal smell: the score order holds below alpha 1, where
+                # both blends are exactly h and the index breaks the tie.
+                if ds > 0.0:
+                    diff[0] += 1
+                    diff[last] -= 1
+                if j < g:
+                    diff[last] += 1
+                continue
+        slope = dh - ds
+        if slope == 0.0:
+            # The line stays within tol of zero: every point is a near tie.
+            lo, hi = 0, last
+        else:
+            # Grid indices where |ds + alpha * slope| <= tol, clamped to
+            # [-1, last + 1] so an empty band keeps its side of the grid.
+            x0 = (-tol - ds) / slope * _STEPS
+            x1 = (tol - ds) / slope * _STEPS
+            if x0 > x1:
+                x0, x1 = x1, x0
+            lo = math.ceil(min(max(x0, -1.0), last + 1.0))
+            hi = math.floor(min(max(x1, -1.0), last + 1.0))
+            if slope > 0.0:  # behind before the band, ahead after it
+                diff[max(hi + 1, 0)] += 1
+            else:  # ahead before the band, behind after it
+                diff[0] += 1
+                diff[max(lo, 0)] -= 1
+        if lo > hi:
+            continue
+        if cg is None:
+            cg = [b * sg + a * hg for a, b in zip(ALPHA_GRID, _BETA_GRID)]
+        for i in range(max(lo, 0), min(hi, last) + 1):
+            cj = _BETA_GRID[i] * sj + ALPHA_GRID[i] * hj
+            if cj > cg[i] or (cj == cg[i] and j < g):
+                diff[i] += 1
+                diff[i + 1] -= 1
+    return list(accumulate(diff[: last + 1]))
+
+
+def _report_stats(positions: Sequence[int], gold_count: int) -> tuple[float, ...]:
+    """Hits at 1, 5 and 10, reciprocal rank and average precision of one
+    report whose ranked gold modules sit at the given ascending positions."""
+    if not positions:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    rank = positions[0]
+    precision_sum = 0.0
+    for hits, position in enumerate(positions, start=1):
+        precision_sum += hits / position
+    return (
+        1.0 if rank <= 1 else 0.0,
+        1.0 if rank <= 5 else 0.0,
+        1.0 if rank <= 10 else 0.0,
+        1.0 / rank,
+        precision_sum / gold_count,
+    )
+
+
+def _sweep_stats(
+    reports: Sequence[_Report], smell_vec: Sequence[float]
+) -> list[tuple[float, ...]]:
+    """Per grid alpha: pooled outcome stats over the given bug reports.
+
+    Returns, for each alpha, (top1 hits, top5 hits, top10 hits, sum of
+    reciprocal ranks, sum of average precisions, report count). smell_vec
+    holds normalized smell values in ascending module order. The result
+    equals ranking the universe by a stable reverse sort at every grid
+    point, without building or sorting any ranking.
+    """
+    columns = []  # per report, its stats at every grid alpha
+    for report in reports:
+        ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
+        if not ahead:
+            columns.append([_report_stats((), report.gold_count)] * len(ALPHA_GRID))
+            continue
+        column = []
+        # Stats change only where some gold module's position does.
+        for counts, run in groupby(zip(*ahead)):
+            stats = _report_stats(sorted(c + 1 for c in counts), report.gold_count)
+            column.extend([stats] * len(list(run)))
+        columns.append(column)
+    out = []
+    for key, run in groupby(zip(*columns) if columns else [()] * len(ALPHA_GRID)):
+        row = [0.0] * _N_STATS
+        for stats in key:
             for k in range(5):
                 row[k] += stats[k]
             row[5] += 1.0
-    return [tuple(row) for row in per_alpha]
+        out.extend([tuple(row)] * len(list(run)))
+    return out
 
 
 def _metric_value(stats: tuple[float, ...], metric: str) -> float:
     n = stats[5]
     if n == 0:
         raise ValueError("no bug reports")
-    index = {"top1": 0, "top5": 1, "top10": 2, "mrr": 3, "map": 4}[metric]
-    return stats[index] / n
+    return stats[_STAT_INDEX[metric]] / n
 
 
 def _curve(stats_by_alpha: Sequence[tuple[float, ...]], metric: str) -> tuple[float, ...]:
-    return tuple(_metric_value(stats, metric) for stats in stats_by_alpha)
+    n = stats_by_alpha[0][5]  # every grid point pools the same reports
+    if n == 0:
+        raise ValueError("no bug reports")
+    index = _STAT_INDEX[metric]
+    return tuple(stats[index] / n for stats in stats_by_alpha)
 
 
 def _best_alphas(curve: Sequence[float]) -> tuple[tuple[float, ...], float]:
@@ -230,7 +357,10 @@ def sweep_all_metrics(
     config: SmellConfiguration,
 ) -> dict[str, AlphaSweepResult]:
     """Sweep the alpha grid once and read off every metric's curve."""
-    stats = _sweep_stats(system, scores, normalized_smell(system, config))
+    norm_smell = normalized_smell(system, config)
+    stats = _sweep_stats(
+        _reports(system, scores), [norm_smell[m] for m in sorted(system.modules)]
+    )
     results = {}
     for metric in METRIC_NAMES:
         curve = _curve(stats, metric)
@@ -344,9 +474,11 @@ def _system_task(
 ) -> list[list[tuple[float, ...]]]:
     """Sweep stats for every configuration of one system (worker body).
 
-    Configurations that induce the same raw smell map share one sweep.
+    Every report's scores are normalized once; configurations that induce
+    the same raw smell map share one sweep.
     """
     system, scores, configs = args
+    reports = _reports(system, scores)
     cache: dict[tuple[float, ...], list[tuple[float, ...]]] = {}
     out = []
     modules = tuple(sorted(system.modules))
@@ -355,7 +487,8 @@ def _system_task(
         key = tuple(raw[m] for m in modules)
         stats = cache.get(key)
         if stats is None:
-            stats = _sweep_stats(system, scores, normalize(raw))
+            norm_smell = normalize(raw)
+            stats = _sweep_stats(reports, [norm_smell[m] for m in modules])
             cache[key] = stats
         out.append(stats)
     return out
@@ -433,10 +566,8 @@ def config_search(
         for si, name in enumerate(system_names):
             best_value = None
             best_pick = None
-            for ci, config in enumerate(configs):
-                stats = per_system[si][ci]
-                curve = _curve(stats, metric)
-                max_set, value = _best_alphas(curve)
+            for ci, row in enumerate(rows):
+                max_set, value = _best_alphas(row.curves[name][metric])
                 if best_value is None or value > best_value:
                     best_value = value
                     best_pick = (ci, min(max_set))

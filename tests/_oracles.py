@@ -3,8 +3,9 @@
 Each oracle takes a deliberately different route from the implementation
 under test: the stemmer is a procedural buffer-and-offsets port, the splitter
 is regex-based, cosine goes through dense numpy vectors, the rank metrics
-count positions exhaustively, Cliff's delta is the O(n*m) double loop, and
-relative risk is direct set counting.
+count positions exhaustively, Cliff's delta is the O(n*m) double loop,
+relative risk is direct set counting, and the alpha sweep fully sorts the
+universe at every grid point.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import re
 from fractions import Fraction
 
 import numpy as np
+
+from smelloc.combine import ALPHA_GRID, _N_STATS, normalize
+from smelloc.metrics import ranking_stats
 
 
 class PorterReference:
@@ -293,3 +297,51 @@ def relative_risk_by_counting(universe, buggy, typed_modules):
             rr = risk / complement
         out[name] = (risk, complement, rr)
     return out
+
+
+def sweep_stats_by_sorting(system, scores, norm_smell):
+    """Per grid alpha: pooled outcome stats over the system's bug reports.
+
+    Returns, for each alpha, (top1 hits, top5 hits, top10 hits, sum of
+    reciprocal ranks, sum of average precisions, report count). This is the
+    sweep that ranks the whole universe with a full sort at every grid point.
+    """
+    modules = tuple(sorted(system.modules))
+    m_count = len(modules)
+    indices = range(m_count)
+    smell_vec = [norm_smell[m] for m in modules]
+    per_alpha = [[0.0] * _N_STATS for _ in ALPHA_GRID]
+    for bug_id in system.bug_ids:
+        raw = scores.by_bug.get(bug_id, {})
+        norm_score = normalize({m: raw.get(m, 0.0) for m in modules})
+        score_vec = [norm_score[m] for m in modules]
+        # Gold modules the universe lacks still dilute precision; negative
+        # sentinels keep them countable without ever matching a ranked index.
+        gold = system.gold[bug_id]
+        gold_idx = {i for i in indices if modules[i] in gold}
+        gold_idx.update(-(k + 1) for k in range(len(gold - set(modules))))
+        outcome_cache: dict[tuple[int, ...], tuple[float, float, float, float, float]] = {}
+        for ai, alpha in enumerate(ALPHA_GRID):
+            beta = 1.0 - alpha
+            combined = [
+                beta * score_vec[i] + alpha * smell_vec[i] for i in indices
+            ]
+            # Stable reverse sort: ties stay in ascending index order, and
+            # indices follow ascending module id.
+            order = tuple(sorted(indices, key=combined.__getitem__, reverse=True))
+            stats = outcome_cache.get(order)
+            if stats is None:
+                rank, ap = ranking_stats(order, gold_idx)
+                stats = (
+                    1.0 if rank is not None and rank <= 1 else 0.0,
+                    1.0 if rank is not None and rank <= 5 else 0.0,
+                    1.0 if rank is not None and rank <= 10 else 0.0,
+                    1.0 / rank if rank is not None else 0.0,
+                    ap,
+                )
+                outcome_cache[order] = stats
+            row = per_alpha[ai]
+            for k in range(5):
+                row[k] += stats[k]
+            row[5] += 1.0
+    return [tuple(row) for row in per_alpha]

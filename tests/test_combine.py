@@ -1,6 +1,7 @@
 """Tests for score blending, the alpha sweep, and the configuration search."""
 
 import logging
+import math
 import random
 
 import pytest
@@ -13,6 +14,9 @@ from smelloc.combine import (
     AlphaSweepResult,
     System,
     TechniqueScores,
+    _reports,
+    _sweep_stats,
+    _system_task,
     blend,
     config_search,
     curve_shape,
@@ -31,9 +35,14 @@ from smelloc.smells import (
     SmellConfiguration,
     SmellInstance,
     is_original_index,
+    smell_values,
 )
 
-from _oracles import average_precision_exhaustive, first_gold_rank_exhaustive
+from _oracles import (
+    average_precision_exhaustive,
+    first_gold_rank_exhaustive,
+    sweep_stats_by_sorting,
+)
 from conftest import random_system
 
 GOD = SMELL_TYPE_BY_NAME["God Class"]
@@ -95,11 +104,17 @@ class TestNormalize:
         assert normalize(once) == once
         assert max(once.values()) == 1.0
 
+    def test_subnormal_and_zero_maps(self):
+        assert normalize({"a": 5e-324}) == {"a": 1.0}
+        assert normalize({"a": 0.0}) == {"a": 0.0}
+
+    # Values stay at 0 or at least 1e-6, so scaling by a factor in
+    # [0.01, 100] never underflows a positive value to zero.
     @settings(max_examples=80, deadline=None)
     @given(
         st.dictionaries(
             st.text(min_size=1, max_size=4),
-            st.floats(min_value=0.0, max_value=1e6),
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)),
             min_size=1,
             max_size=10,
         ),
@@ -277,30 +292,36 @@ class TestSweep:
         assert result.values[100] == 0.5  # ties collapse to id order: a first
 
     def test_alpha_zero_matches_exhaustive_oracles(self):
+        # Every grid alpha, not only 0: rank by (-blended, module id).
         rng = random.Random(90125)
         for trial in range(25):
             system, scores = random_system(rng, name=f"s{trial}")
             sweeps = sweep_all_metrics(system, scores, CLASS_ALL)
+            norm_smell = normalized_smell(system, CLASS_ALL)
             modules = sorted(system.modules)
-            ranks = []
-            aps = []
-            for bug in system.bug_ids:
-                raw = scores.by_bug[bug]
-                norm = normalize({m: raw.get(m, 0.0) for m in modules})
-                ordered = sorted(modules, key=lambda m: (-norm[m], m))
-                gold = system.gold[bug]
-                ranks.append(first_gold_rank_exhaustive(ordered, gold))
-                aps.append(average_precision_exhaustive(ordered, gold))
-            n = len(ranks)
-            assert sweeps["map"].values[0] == pytest.approx(
-                sum(aps) / n, abs=1e-12
-            )
-            assert sweeps["mrr"].values[0] == pytest.approx(
-                sum(1.0 / r for r in ranks if r is not None) / n, abs=1e-12
-            )
-            for cutoff, metric in ((1, "top1"), (5, "top5"), (10, "top10")):
-                want = sum(1 for r in ranks if r is not None and r <= cutoff) / n
-                assert sweeps[metric].values[0] == want
+            norm_scores = {
+                bug: normalize({m: scores.by_bug[bug].get(m, 0.0) for m in modules})
+                for bug in system.bug_ids
+            }
+            for ai, alpha in enumerate(ALPHA_GRID):
+                ranks = []
+                aps = []
+                for bug in system.bug_ids:
+                    blended = blend(norm_scores[bug], norm_smell, alpha)
+                    ordered = sorted(modules, key=lambda m: (-blended[m], m))
+                    gold = system.gold[bug]
+                    ranks.append(first_gold_rank_exhaustive(ordered, gold))
+                    aps.append(average_precision_exhaustive(ordered, gold))
+                n = len(ranks)
+                assert sweeps["map"].values[ai] == pytest.approx(
+                    sum(aps) / n, abs=1e-12
+                )
+                assert sweeps["mrr"].values[ai] == pytest.approx(
+                    sum(1.0 / r for r in ranks if r is not None) / n, abs=1e-12
+                )
+                for cutoff, metric in ((1, "top1"), (5, "top5"), (10, "top10")):
+                    want = sum(1 for r in ranks if r is not None and r <= cutoff) / n
+                    assert sweeps[metric].values[ai] == want
 
     def test_gold_outside_universe_dilutes_precision(self):
         system, scores = _system(
@@ -341,6 +362,154 @@ class TestSweep:
         assert curve_shape(fake((0.0, 0.5))) == "baseline"
         assert curve_shape(fake((0.4, 1.0))) == "plateau"
         assert curve_shape(fake((0.31,))) == "mountain"
+
+
+def _hex(stats):
+    return [tuple(value.hex() for value in row) for row in stats]
+
+
+def _exact_sweep(system, scores, norm_smell):
+    modules = sorted(system.modules)
+    return _sweep_stats(_reports(system, scores), [norm_smell[m] for m in modules])
+
+
+_POOL = (0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.1, 0.2, 0.3, 0.7, 0.9, 5e-324)
+
+
+def _nudge(value, step):
+    if step == "ulp":
+        return math.nextafter(value, 2.0)
+    return max(value + step, 0.0)
+
+
+_VALUES = st.builds(
+    _nudge, st.sampled_from(_POOL), st.sampled_from((0.0, 1e-12, -1e-12, "ulp"))
+)
+
+
+@st.composite
+def _adversarial_universe(draw):
+    """Tie-heavy inputs: pooled values with near-tie jitter and subnormals,
+    shuffled module ids, gold the universe may lack, all-zero smell maps."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    modules = draw(st.permutations([f"m{i}" for i in range(n)]))
+    bugs = [f"b{k}" for k in range(draw(st.integers(min_value=1, max_value=3)))]
+    gold = {}
+    for bug in bugs:
+        members = set(draw(st.sets(st.sampled_from(modules), max_size=3)))
+        if not members or draw(st.booleans()):
+            members.add("ghost")
+        gold[bug] = frozenset(members)
+    by_bug = {
+        bug: draw(st.dictionaries(st.sampled_from(modules), _VALUES)) for bug in bugs
+    }
+    if draw(st.booleans()):
+        smell = {m: 0.0 for m in modules}
+    else:
+        smell = normalize(
+            draw(st.fixed_dictionaries({m: _VALUES for m in modules}))
+        )
+    system = System(
+        name="adv",
+        modules=tuple(modules),
+        bug_ids=tuple(bugs),
+        gold=gold,
+        smells=(),
+    )
+    return system, TechniqueScores(technique="t", by_bug=by_bug), smell
+
+
+class TestExactSweep:
+    """The crossing-based sweep equals a full stable sort per grid point,
+    float for float."""
+
+    def test_matches_sorting_oracle_on_random_systems(self):
+        rng = random.Random(4242)
+        configs = enumerate_configs(TRIVIAL_SELECTORS)
+        for trial in range(30):
+            system, scores = random_system(rng, name=f"s{trial}")
+            for config in rng.sample(configs, 5):
+                norm_smell = normalized_smell(system, config)
+                assert _hex(_exact_sweep(system, scores, norm_smell)) == _hex(
+                    sweep_stats_by_sorting(system, scores, norm_smell)
+                )
+
+    def test_system_task_matches_sorting_oracle(self):
+        rng = random.Random(515)
+        configs = tuple(enumerate_configs(TRIVIAL_SELECTORS)[::10])
+        for trial in range(5):
+            system, scores = random_system(rng, name=f"s{trial}", ensure_smells=True)
+            modules = tuple(sorted(system.modules))
+            got = _system_task((system, scores, configs))
+            want = [
+                sweep_stats_by_sorting(
+                    system, scores, normalize(smell_values(modules, system.smells, c))
+                )
+                for c in configs
+            ]
+            assert [_hex(s) for s in got] == [_hex(s) for s in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_adversarial_universe())
+    def test_matches_sorting_oracle_on_adversarial_universes(self, universe):
+        system, scores, norm_smell = universe
+        assert _hex(_exact_sweep(system, scores, norm_smell)) == _hex(
+            sweep_stats_by_sorting(system, scores, norm_smell)
+        )
+
+    def test_crossing_on_a_grid_point(self):
+        # c_a - c_b = 1 - 2 * alpha: the two tie at alpha 0.5, where the id
+        # order puts "a" first, and "b" leads from the next grid point on.
+        system, scores = _system(
+            ["a", "b"],
+            {"r1": {"b"}},
+            {"r1": {"a": 1.0, "b": 0.0}},
+        )
+        norm_smell = {"a": 0.0, "b": 1.0}
+        stats = _exact_sweep(system, scores, norm_smell)
+        assert _hex(stats) == _hex(sweep_stats_by_sorting(system, scores, norm_smell))
+        assert [row[0] for row in stats[49:52]] == [0.0, 0.0, 1.0]
+
+    def test_empty_gold_set_rejected(self):
+        system, scores = _system(["a", "b"], {"r1": set()}, {"r1": {"a": 1.0}})
+        with pytest.raises(ValueError, match="empty gold set"):
+            sweep_alpha(system, scores, CLASS_ALL, "map")
+        with pytest.raises(ValueError, match="empty gold set"):
+            config_search([(system, scores)], [CLASS_ALL])
+
+    def test_report_without_ranked_gold_still_counts(self):
+        system, scores = _system(
+            ["a", "b"],
+            {"r1": {"ghost"}, "r2": {"a"}},
+            {"r1": {"a": 1.0, "b": 0.5}, "r2": {"a": 1.0, "b": 0.5}},
+        )
+        sweeps = sweep_all_metrics(system, scores, CLASS_ALL)
+        for metric in METRIC_NAMES:
+            assert set(sweeps[metric].values) == {0.5}
+        stats = _exact_sweep(system, scores, normalized_smell(system, CLASS_ALL))
+        assert set(stats) == {(1.0, 1.0, 1.0, 1.0, 1.0, 2.0)}
+
+    def test_negative_scores_warn_once_per_report(self, caplog):
+        rng = random.Random(99)
+        system, scores = random_system(
+            rng, name="neg", max_reports=4, ensure_smells=True
+        )
+        by_bug = {
+            bug: {m: v - 0.5 for m, v in per_bug.items()}
+            for bug, per_bug in scores.by_bug.items()
+        }
+        configs = enumerate_configs(TRIVIAL_SELECTORS)[:30]
+        modules = tuple(sorted(system.modules))
+        distinct = {
+            tuple(smell_values(modules, system.smells, c).values()) for c in configs
+        }
+        assert len(distinct) > 1
+        with caplog.at_level(logging.WARNING, logger="smelloc.combine"):
+            config_search(
+                [(system, TechniqueScores(technique="t", by_bug=by_bug))], configs
+            )
+        warnings = [r for r in caplog.records if "shifting minimum" in r.message]
+        assert len(warnings) == len(system.bug_ids)
 
 
 class TestConfigLabels:
