@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import combine, dataio, manifest, risk
-from .corpus import build_corpus, build_query
+from .corpus import build_corpus, build_query, source_files
 from .index import (
     ScoredRanking,
     build_index,
@@ -170,9 +170,10 @@ def cmd_index(args) -> int:
 
 def _native_rankings(args, reports, technique: str) -> list[ScoredRanking]:
     stopwords = _stopwords(args)
-    if args.index:
-        term_index = load_index(_require_file(args.index, "index cache"))
-    elif args.snapshot:
+    if not (args.index or args.snapshot):
+        raise UsageError("native techniques need --snapshot or --index")
+    corpus = None
+    if args.snapshot:
         corpus = build_corpus(
             _require_dir(args.snapshot, "snapshot"),
             stopwords=stopwords,
@@ -180,9 +181,15 @@ def _native_rankings(args, reports, technique: str) -> list[ScoredRanking]:
         )
         if not corpus:
             raise UsageError(f"no source files under {args.snapshot}")
-        term_index = build_index(corpus)
+    if args.index:
+        # With a snapshot too, the cache must match its tokens under the
+        # current stopwords; without one there is nothing to check against.
+        term_index = load_index(
+            _require_file(args.index, "index cache"),
+            corpus_hash(corpus) if corpus else None,
+        )
     else:
-        raise UsageError("native techniques need --snapshot or --index")
+        term_index = build_index(corpus)
     scorer = cosine_score if technique == "vsm" else rvsm_score
     rankings = []
     for report in reports:
@@ -430,11 +437,7 @@ def cmd_risk(args) -> int:
         universe_input = args.modules
     elif args.snapshot:
         snapshot = _require_dir(args.snapshot, "snapshot")
-        universe = {
-            p.relative_to(snapshot).as_posix()
-            for p in snapshot.rglob("*")
-            if p.is_file() and p.suffix.lower() == ".java"
-        }
+        universe = {doc_id for doc_id, _ in source_files(snapshot)}
         universe_input = args.snapshot
     else:
         raise UsageError("pass --modules or --snapshot for the module universe")

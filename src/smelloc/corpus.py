@@ -8,9 +8,9 @@ literals contribute tokens too.
 
 from __future__ import annotations
 
-import json
+import functools
 import logging
-import string
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,21 +21,7 @@ from .stopwords import DEFAULT_STOPWORDS
 
 logger = logging.getLogger(__name__)
 
-_UPPER = frozenset(string.ascii_uppercase)
-_LOWER = frozenset(string.ascii_lowercase)
-_DIGIT = frozenset(string.digits)
-_ALNUM = _UPPER | _LOWER | _DIGIT
-
 DEFAULT_EXTENSIONS = (".java",)
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    """A unit of text entering the pipeline, before tokenization."""
-
-    id: str
-    text: str
-    kind: str = "source"  # "source" or "query"
 
 
 @dataclass(frozen=True)
@@ -44,6 +30,9 @@ class TokenDocument:
 
     id: str
     tokens: tuple[str, ...]
+
+
+_SUBTOKEN = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
 
 
 def split_identifiers(text: str) -> list[str]:
@@ -55,45 +44,16 @@ def split_identifiers(text: str) -> list[str]:
     letter, so "HTTPServer2x" yields HTTP, Server, 2, x. The unsplit compound
     is not kept. Only ASCII letters and digits count as token characters.
     """
-    tokens: list[str] = []
-    start = None  # index where the current subtoken began
-    prev = ""
-    n = len(text)
-    for i in range(n):
-        ch = text[i]
-        if ch not in _ALNUM:
-            if start is not None:
-                tokens.append(text[start:i])
-                start = None
-            prev = ""
-            continue
-        if start is None:
-            start = i
-        else:
-            boundary = (
-                (prev in _LOWER and ch in _UPPER)
-                or (prev in _DIGIT and ch not in _DIGIT)
-                or (prev not in _DIGIT and ch in _DIGIT)
-                or (
-                    prev in _UPPER
-                    and ch in _UPPER
-                    and i + 1 < n
-                    and text[i + 1] in _LOWER
-                )
-            )
-            if boundary:
-                tokens.append(text[start:i])
-                start = i
-        prev = ch
-    if start is not None:
-        tokens.append(text[start:])
-    return tokens
+    return _SUBTOKEN.findall(text)
 
 
+@functools.cache
 def _stem_fixpoint(token: str) -> str:
     # A single stemmer pass is not idempotent ("agreed" -> "agre" -> "agr"),
     # so iterate until stable; each changing pass shortens the token or turns
-    # a trailing y into i, which bounds the loop.
+    # a trailing y into i, which bounds the loop. The result depends on the
+    # token alone, so one memo serves every stopword set; distinct subtokens
+    # are few next to their occurrences.
     while True:
         stemmed = stem(token)
         if stemmed == token:
@@ -155,6 +115,22 @@ def module_id(path: Path, root: Path) -> str:
     return path.relative_to(root).as_posix()
 
 
+def source_files(
+    root: str | Path, extensions: Sequence[str] = DEFAULT_EXTENSIONS
+) -> list[tuple[str, Path]]:
+    """(module id, path) of every file under root whose suffix matches.
+
+    Suffixes compare case-insensitively; the list is in module id order.
+    """
+    root = Path(root)
+    suffixes = {ext.lower() for ext in extensions}
+    return sorted(
+        (module_id(p, root), p)
+        for p in root.rglob("*")
+        if p.is_file() and p.suffix.lower() in suffixes
+    )
+
+
 def build_corpus(
     root: str | Path,
     extensions: Sequence[str] = DEFAULT_EXTENSIONS,
@@ -167,13 +143,10 @@ def build_corpus(
     processed in parallel; results are merged back into lexicographic path
     order, so the corpus is identical for any job count.
     """
-    root = Path(root)
-    suffixes = {ext.lower() for ext in extensions}
-    paths = sorted(
-        (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in suffixes),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
-    work = [(str(p), module_id(p, root), stopwords) for p in paths]
+    work = [
+        (str(path), doc_id, stopwords)
+        for doc_id, path in source_files(root, extensions)
+    ]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_process_file, work))
@@ -191,26 +164,3 @@ def build_query(bug, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> TokenDocu
     """
     text = f"{bug.summary} {bug.description}"
     return TokenDocument(id=bug.id, tokens=tokenize_text(text, stopwords))
-
-
-def dump_corpus(docs: Iterable[TokenDocument], path: str | Path) -> None:
-    """Write a corpus as JSON lines: {"id": ..., "tokens": [...]}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(
-                json.dumps({"id": doc.id, "tokens": list(doc.tokens)}, ensure_ascii=False)
-            )
-            fh.write("\n")
-
-
-def load_corpus(path: str | Path) -> list[TokenDocument]:
-    """Read a JSON-lines corpus dump written by dump_corpus."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            docs.append(TokenDocument(id=rec["id"], tokens=tuple(rec["tokens"])))
-    return docs

@@ -152,11 +152,16 @@ def load_bug_reports(path: str | Path) -> tuple[BugReport, ...]:
     seen = set()
     for pos, rec in enumerate(records):
         try:
+            bug_id = str(rec["id"])
+            gold = rec.get("gold", [])
+            # A bare string would otherwise be read as a set of characters.
+            if not isinstance(gold, list) or not all(isinstance(g, str) for g in gold):
+                raise ValueError(f"gold must be a JSON array of strings, got {gold!r}")
             report = BugReport(
-                id=str(rec["id"]),
+                id=bug_id,
                 summary=str(rec.get("summary", "")),
                 description=str(rec.get("description", "")),
-                gold=frozenset(str(g) for g in rec.get("gold", ())),
+                gold=frozenset(gold),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bug report #{pos}: {exc}") from exc
@@ -183,11 +188,15 @@ def load_smell_report(path: str | Path) -> tuple[SmellInstance, ...]:
             smell_type = SMELL_TYPE_BY_NAME.get(type_name)
             if smell_type is None:
                 raise ValueError(f"unknown smell type {type_name!r}")
+            severity = rec["severity"]
+            # bool is an int subclass, and a float would pass the range check.
+            if isinstance(severity, bool) or not isinstance(severity, int):
+                raise ValueError(f"severity must be an integer, got {severity!r}")
             instances.append(
                 SmellInstance(
                     type=smell_type,
                     module=str(rec["module"]),
-                    severity=rec["severity"],
+                    severity=severity,
                     method_signature=rec.get("method"),
                 )
             )

@@ -216,7 +216,10 @@ def load_index(path: str | Path, corpus_digest: str | None = None) -> TermIndex:
     if payload.get("format") != _CACHE_FORMAT or payload.get("version") != _CACHE_VERSION:
         raise ValueError(f"unrecognized index cache {path}")
     if corpus_digest is not None and payload["corpus_hash"] != corpus_digest:
-        raise ValueError(f"stale index cache {path}: corpus has changed")
+        raise ValueError(
+            f"stale index cache {path}: built from other files or other "
+            "tokenizer settings than the current corpus"
+        )
     doc_vectors = {
         doc_id: {int(tid): float(w) for tid, w in vec.items()}
         for doc_id, vec in payload["doc_vectors"].items()

@@ -2,15 +2,16 @@
 
 Each oracle takes a deliberately different route from the implementation
 under test: the stemmer is a procedural buffer-and-offsets port, the splitter
-is regex-based, cosine goes through dense numpy vectors, the rank metrics
-count positions exhaustively, Cliff's delta is the O(n*m) double loop,
-relative risk is direct set counting, and the alpha sweep fully sorts the
-universe at every grid point.
+is a character loop and, separately, a two-stage regex, cosine goes through
+dense numpy vectors, the rank metrics count positions exhaustively, Cliff's
+delta is the O(n*m) double loop, relative risk is direct set counting, and
+the alpha sweep fully sorts the universe at every grid point.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,52 @@ def split_identifiers_re(text: str) -> list[str]:
     for run in _RUN_RE.findall(text):
         out.extend(_SUBTOKEN_RE.findall(run))
     return out
+
+
+_UPPER = frozenset(string.ascii_uppercase)
+_LOWER = frozenset(string.ascii_lowercase)
+_DIGIT = frozenset(string.digits)
+_ALNUM = _UPPER | _LOWER | _DIGIT
+
+
+def split_identifiers_loop(text: str) -> list[str]:
+    """Character-by-character route to the same subtoken split.
+
+    This was the package's splitter before the single-pass regex replaced it.
+    """
+    tokens: list[str] = []
+    start = None  # index where the current subtoken began
+    prev = ""
+    n = len(text)
+    for i in range(n):
+        ch = text[i]
+        if ch not in _ALNUM:
+            if start is not None:
+                tokens.append(text[start:i])
+                start = None
+            prev = ""
+            continue
+        if start is None:
+            start = i
+        else:
+            boundary = (
+                (prev in _LOWER and ch in _UPPER)
+                or (prev in _DIGIT and ch not in _DIGIT)
+                or (prev not in _DIGIT and ch in _DIGIT)
+                or (
+                    prev in _UPPER
+                    and ch in _UPPER
+                    and i + 1 < n
+                    and text[i + 1] in _LOWER
+                )
+            )
+            if boundary:
+                tokens.append(text[start:i])
+                start = i
+        prev = ch
+    if start is not None:
+        tokens.append(text[start:])
+    return tokens
 
 
 def cosine_dense(query: dict[int, float], doc: dict[int, float]) -> float:

@@ -104,6 +104,41 @@ class TestRankCommand:
         assert main(base + ["--index", str(cache), "--out", str(from_cache)]) == 0
         assert from_snapshot.read_bytes() == from_cache.read_bytes()
 
+    def _cache(self, java_system, tmp_path):
+        cache = tmp_path / "index.bin"
+        assert main(["index", "--snapshot", str(java_system["src"]), "--out", str(cache)]) == 0
+        return cache
+
+    def _rank_checked(self, java_system, tmp_path, capsys, cache, extra=()):
+        rc = main(["rank", "--technique", "rvsm", "--bugs", str(java_system["bugs"]),
+                   "--index", str(cache), "--snapshot", str(java_system["src"]),
+                   "--out", str(tmp_path / "r.jsonl")] + list(extra))
+        return rc, capsys.readouterr().err
+
+    def test_index_checked_against_snapshot(self, java_system, tmp_path, capsys):
+        cache = self._cache(java_system, tmp_path)
+        rc, err = self._rank_checked(java_system, tmp_path, capsys, cache)
+        assert rc == 0, err
+
+    def test_stale_index_after_source_edit(self, java_system, tmp_path, capsys):
+        cache = self._cache(java_system, tmp_path)
+        edited = java_system["src"] / "com/app/StoreManager.java"
+        edited.write_text(edited.read_text() + "\n// evictionPolicy\n", encoding="utf-8")
+        rc, err = self._rank_checked(java_system, tmp_path, capsys, cache)
+        assert rc == 2
+        assert f"stale index cache {cache}" in err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_stale_index_with_other_stopwords(self, java_system, tmp_path, capsys):
+        cache = self._cache(java_system, tmp_path)
+        words = tmp_path / "stop.txt"
+        words.write_text("store\n", encoding="utf-8")
+        rc, err = self._rank_checked(
+            java_system, tmp_path, capsys, cache, ["--stopwords", str(words)]
+        )
+        assert rc == 2
+        assert f"stale index cache {cache}" in err
+
     def test_single_bug_filter(self, java_system, tmp_path):
         out = tmp_path / "one.jsonl"
         rc = main(
@@ -984,6 +1019,32 @@ class TestConvertCommand:
         rc = main(["convert", "--bugrepo", str(repo), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "no convertible bug entries" in capsys.readouterr().err
+
+
+class TestStrictInputs:
+    def test_string_gold_exits_2(self, java_system, tmp_path, capsys):
+        bugs = tmp_path / "bugs.json"
+        bugs.write_text(
+            json.dumps([{"id": "B-1", "summary": "x", "gold": "com/app/StoreManager.java"}]),
+            encoding="utf-8",
+        )
+        rc = main(["rank", "--technique", "vsm", "--bugs", str(bugs), "--snapshot",
+                   str(java_system["src"]), "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bugs}: bug report #0: ")
+
+    @pytest.mark.parametrize("severity", [True, 2.5])
+    def test_non_integer_severity_exits_2(self, java_system, tmp_path, capsys, severity):
+        smells = tmp_path / "smells.json"
+        smells.write_text(
+            json.dumps([{"type": "Blob Class", "module": "com/app/StoreManager.java",
+                         "severity": severity}]),
+            encoding="utf-8",
+        )
+        rc = main(["risk", "--smells", str(smells), "--snapshot", str(java_system["src"]),
+                   "--bugs", str(java_system["bugs"]), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {smells}: smell instance #0: ")
 
 
 class TestCommonFlags:

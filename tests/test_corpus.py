@@ -11,20 +11,19 @@ from hypothesis import strategies as st
 
 from smelloc import corpus as corpus_mod
 from smelloc.corpus import (
-    TokenDocument,
     build_corpus,
     build_query,
-    dump_corpus,
-    load_corpus,
     module_id,
     normalize_tokens,
+    source_files,
     split_identifiers,
     tokenize_text,
 )
 from smelloc.dataio import BugReport
+from smelloc.stemming import stem
 from smelloc.stopwords import DEFAULT_STOPWORDS, load_stopwords
 
-from _oracles import split_identifiers_re
+from _oracles import split_identifiers_loop, split_identifiers_re
 from conftest import JAVA_SNAPSHOT, write_java_system
 
 
@@ -56,6 +55,60 @@ class TestSplitIdentifiers:
         for _ in range(5000):
             text = "".join(rng.choice(chars) for _ in range(rng.randint(0, 60)))
             assert split_identifiers(text) == split_identifiers_re(text), text
+
+
+def _reference_tokens(text: str, stopwords: frozenset[str]) -> tuple[str, ...]:
+    """Loop split, then an uncached stem fixpoint with the noise filter."""
+
+    def keep(token):
+        return len(token) > 1 and token not in stopwords and not token.isdigit()
+
+    out = []
+    for token in split_identifiers_loop(text):
+        token = token.lower()
+        if not keep(token):
+            continue
+        while (stemmed := stem(token)) != token:
+            token = stemmed
+        if keep(token):
+            out.append(token)
+    return tuple(out)
+
+
+# Pieces that exercise every seam: acronym runs before a capitalized word,
+# digits against letters, stopwords before and after stemming, non-ASCII
+# letters (including ones whose lowercase is ASCII) and punctuation.
+_PIECES = st.one_of(
+    st.sampled_from([
+        "HTTPServer", "XMLHttpRequest", "ABc", "ABC", "getURLs", "IDs", "A1B2",
+        "sha256sum", "X11y", "StoreManager", "flushCacheEntries", "agreed",
+        "beings", "ies", "the", "public", "is", "naïve", "café", "Straße",
+        "\u212a", "\u0130x", "\u00e9A", "__init__", "a.b(c)", "\n\t ",
+    ]),
+    st.text(
+        alphabet=string.ascii_letters + string.digits + "_.,;(){}<>/* \n\téßİKµ中",
+        max_size=12,
+    ),
+)
+
+# Stems that the pieces above produce, so this set removes tokens that
+# DEFAULT_STOPWORDS keeps, and keeps "the", "public" and "is".
+_OTHER_STOPWORDS = frozenset({"server", "manag", "agr", "url", "store", "request"})
+
+
+class TestTokenizeAgainstOracles:
+    @settings(max_examples=300)
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    def test_split_matches_loop_oracle(self, text):
+        assert split_identifiers(text) == split_identifiers_loop(text)
+
+    @settings(max_examples=300)
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    def test_tokenize_matches_uncached_reference(self, text):
+        # Both stopword sets in one process: a memo that captured the
+        # stopwords of its first caller would fail the second set.
+        for stopwords in (DEFAULT_STOPWORDS, _OTHER_STOPWORDS, DEFAULT_STOPWORDS):
+            assert tokenize_text(text, stopwords) == _reference_tokens(text, stopwords)
 
 
 class TestNormalizeTokens:
@@ -153,6 +206,16 @@ class TestBuildCorpus:
         assert [d.id for d in docs] == ["B.java"]
         assert any("A.java" in r.message for r in caplog.records)
 
+    def test_source_files_in_module_id_order(self, tmp_path):
+        for rel in ("b/Z.java", "a/Y.JAVA", "a/X.txt", "C.java"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("class K {}", encoding="utf-8")
+        (tmp_path / "d.java").mkdir()
+        found = source_files(tmp_path)
+        assert [doc_id for doc_id, _ in found] == ["C.java", "a/Y.JAVA", "b/Z.java"]
+        assert all(path == tmp_path / doc_id for doc_id, path in found)
+        assert [d.id for d in build_corpus(tmp_path)] == [doc_id for doc_id, _ in found]
+
     def test_module_id_is_posix_relative(self, tmp_path):
         nested = tmp_path / "a" / "b" / "C.java"
         nested.parent.mkdir(parents=True)
@@ -171,15 +234,6 @@ class TestQueriesAndSerialization:
         assert build_query(report, DEFAULT_STOPWORDS).tokens == (
             "store", "manag", "crash", "flush", "cach", "entri", "overflow",
         )
-
-    def test_dump_and_load_roundtrip(self, tmp_path):
-        docs = (
-            TokenDocument(id="a/B.java", tokens=("store", "manag")),
-            TokenDocument(id="c/D.java", tokens=()),
-        )
-        path = tmp_path / "corpus.jsonl"
-        dump_corpus(docs, path)
-        assert tuple(load_corpus(path)) == docs
 
     def test_custom_stopword_file(self, tmp_path):
         words = tmp_path / "stop.txt"

@@ -77,6 +77,21 @@ class TestBugReports:
         with pytest.raises(ValueError, match="bug report #0"):
             load_bug_reports(path)
 
+    @pytest.mark.parametrize(
+        "gold", ["a/B.java", ["a/B.java", 3], {"a/B.java": 1}, None, [["a"]]]
+    )
+    def test_gold_must_be_array_of_strings(self, tmp_path, gold):
+        path = tmp_path / "bugs.json"
+        path.write_text(
+            json.dumps([{"id": "B-1", "gold": ["a"]}, {"id": "B-2", "gold": gold}]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            load_bug_reports(path)
+        assert str(info.value).startswith(
+            f"{path}: bug report #1: gold must be a JSON array of strings"
+        )
+
     def test_report_validation(self):
         with pytest.raises(ValueError, match="nonempty id"):
             BugReport(id="", summary="", description="", gold=frozenset({"a"}))
@@ -117,6 +132,24 @@ class TestSmellReport:
         )
         with pytest.raises(ValueError, match="smell instance #1.*outside 1..10"):
             load_smell_report(path)
+
+    @pytest.mark.parametrize("severity", [True, False, 2.5, 3.0, "5", None])
+    def test_severity_must_be_integer(self, tmp_path, severity):
+        path = tmp_path / "smells.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"type": "Blob Class", "module": "a", "severity": 5},
+                    {"type": "Blob Class", "module": "a", "severity": severity},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            load_smell_report(path)
+        assert str(info.value).startswith(
+            f"{path}: smell instance #1: severity must be an integer"
+        )
 
     def test_method_smell_needs_signature(self, tmp_path):
         path = tmp_path / "smells.json"
