@@ -6,21 +6,23 @@ relative-risk analysis, search the configuration space, and convert foreign
 benchmark layouts. Every command is deterministic; reports embed or sit next
 to a provenance manifest. Exit codes: 0 success, 1 internal error, 2 usage
 or input error.
+
+Each process runs one command, so start-up is paid per command: modules only
+some commands use (blending, risk, metrics, CSV and XML) are imported inside
+those commands, not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
 import traceback
-import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 from typing import Sequence
 
-from . import combine, dataio, manifest, risk
+from . import dataio, manifest
 from .corpus import build_corpus, build_query, source_files
 from .index import (
     ScoredRanking,
@@ -31,12 +33,6 @@ from .index import (
     rank,
     rvsm_score,
     save_index,
-)
-from .metrics import (
-    comparison_stats,
-    evaluate_ranking,
-    metric_report,
-    per_report_values,
 )
 from .smells import ALL_TYPE_NAMES, smell_values
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
@@ -93,7 +89,17 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _seedless_check() -> None:
-    """Verify no loaded module of this package binds a random generator."""
+    """Verify no module of this package binds a random generator.
+
+    Commands import only what they run, so every submodule is imported
+    first; otherwise the scan would miss the ones this command never loads.
+    """
+    import importlib
+    import pkgutil
+
+    package = sys.modules[__package__]
+    for info in pkgutil.iter_modules(package.__path__):
+        importlib.import_module(f"{__package__}.{info.name}")
     offenders = [
         name
         for name, mod in sys.modules.items()
@@ -236,6 +242,8 @@ def cmd_rank(args) -> int:
 
 def _combine_inputs(args):
     """Shared loading for the blend command: scores, smells, optional gold."""
+    from . import combine
+
     scores_path = _require_file(args.scores, "scores")
     smells_path = _require_file(args.smells, "smell report")
     known = None
@@ -270,6 +278,8 @@ def _combine_inputs(args):
 
 
 def cmd_combine(args) -> int:
+    from . import combine
+
     scores, smells, universe, config, reports, notes = _combine_inputs(args)
     inputs = {"scores": args.scores, "smells": args.smells}
     if args.bugs:
@@ -309,6 +319,8 @@ def cmd_combine(args) -> int:
             }
             manifest.write_json_report(payload, args.out, run_manifest)
         else:
+            import csv
+
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["alpha", metric])
@@ -339,6 +351,8 @@ def cmd_combine(args) -> int:
 
 
 def _outcomes_from_dump(path: Path, reports) -> list:
+    from .metrics import evaluate_ranking
+
     scores = dataio.load_external_scores(path, "eval", known_bugs=[r.id for r in reports])
     missing = [r.id for r in reports if r.id not in scores.by_bug]
     if missing:
@@ -356,6 +370,8 @@ def _outcomes_from_dump(path: Path, reports) -> list:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import comparison_stats, metric_report, per_report_values
+
     reports = dataio.load_bug_reports(_require_file(args.bugs, "bug reports"))
     if not reports:
         raise UsageError(f"no bug reports in {args.bugs}")
@@ -399,6 +415,8 @@ def cmd_evaluate(args) -> int:
             payload["comparison"] = comparison
         manifest.write_json_report(payload, args.out, run_manifest)
     else:
+        import csv
+
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value", "count"])
@@ -428,6 +446,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_risk(args) -> int:
+    from . import risk
+
     smells = dataio.load_smell_report(_require_file(args.smells, "smell report"))
     if not smells:
         raise UsageError(f"smell report {args.smells} contains no instances")
@@ -505,6 +525,8 @@ def _pooled_risk_selectors(
     snapshot-side universe are kept by namespacing over the union of
     sources, so nothing is silently dropped here.
     """
+    from . import risk
+
     universe: set[str] = set()
     buggy: set[str] = set()
     instances = []
@@ -532,6 +554,8 @@ def _pooled_risk_selectors(
 
 
 def cmd_config_search(args) -> int:
+    from . import combine
+
     technique = args.technique
     snapshots = []
     for desc_path in args.systems:
@@ -605,6 +629,8 @@ def cmd_config_search(args) -> int:
         }
         manifest.write_json_report(payload, args.out, run_manifest)
     else:
+        import csv
+
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -639,6 +665,8 @@ def cmd_convert(args) -> int:
     Path separators are normalized to forward slashes; layouts that deviate
     from this shape need manual conversion.
     """
+    import xml.etree.ElementTree as ElementTree
+
     path = _require_file(args.bugrepo, "bug repository")
     try:
         tree = ElementTree.parse(path)
@@ -779,10 +807,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_run_config(args: argparse.Namespace) -> None:
-    path = getattr(args, "run_config", None)
-    if not path:
-        return
+def _run_config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
+    """The run config's values for the command's flags, converted and checked.
+
+    Keys name flags without the leading dashes (``"alpha"``, ``"selectors-out"``);
+    keys that are no flag of this command are ignored, so one file can serve
+    several commands. A switch takes true or false; any other flag takes one
+    string or number, read as if typed after the flag.
+    """
     with open(_require_file(path, "run config"), encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -790,21 +822,57 @@ def _apply_run_config(args: argparse.Namespace) -> None:
             raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: run config must be a JSON object")
+    actions = {a.dest: a for a in command._actions if a.option_strings}
+    defaults = {}
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) in (None, False):
-            setattr(args, dest, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        where = f"{path}: key {key!r}"
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"{where}: expected true or false, got {value!r}")
+            defaults[action.dest] = value
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"{where}: expected a string or a number, got {value!r}")
+        try:
+            converted = action.type(str(value)) if action.type else str(value)
+        except (TypeError, ValueError):
+            raise UsageError(
+                f"{where}: invalid value {value!r} for {action.option_strings[0]}"
+            ) from None
+        if action.choices is not None and converted not in action.choices:
+            raise UsageError(f"{where}: {value!r} is not one of {list(action.choices)}")
+        defaults[action.dest] = converted if action.nargs is None else [converted]
+    return defaults
+
+
+def _apply_run_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv
+) -> argparse.Namespace:
+    """Parse argv again with the run config's values as the command's defaults.
+
+    argparse then applies its own rule: a default holds only for a flag the
+    command line leaves out, so explicit flags win.
+    """
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    command = commands[args.command]
+    command.set_defaults(**_run_config_defaults(args.run_config, command))
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_run_config(args)
-        if getattr(args, "seedless", False):
+        if args.run_config:
+            args = _apply_run_config(parser, args, argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        if args.seedless:
             _seedless_check()
         return args.func(args)
     except UsageError as exc:

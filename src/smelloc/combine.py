@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import Mapping, Sequence
@@ -514,6 +513,8 @@ def config_search(
     technique = systems[0][1].technique
     tasks = [(system, scores, tuple(configs)) for system, scores in systems]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_system = list(pool.map(_system_task, tasks))
     else:

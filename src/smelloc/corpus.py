@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -148,6 +147,8 @@ def build_corpus(
         for doc_id, path in source_files(root, extensions)
     ]
     if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_process_file, work))
     else:

@@ -15,13 +15,15 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import combine
 from .corpus import TokenDocument, build_corpus, build_query
 from .index import build_index, cosine_score, rvsm_score
 from .smells import SMELL_TYPE_BY_NAME, SmellInstance
 from .stopwords import DEFAULT_STOPWORDS
+
+if TYPE_CHECKING:
+    from . import combine
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +154,10 @@ def load_bug_reports(path: str | Path) -> tuple[BugReport, ...]:
     seen = set()
     for pos, rec in enumerate(records):
         try:
-            bug_id = str(rec["id"])
+            bug_id = rec["id"]
+            # str() would turn null into bug "None" and 7 into bug "7".
+            if not isinstance(bug_id, str):
+                raise ValueError(f"id must be a string, got {bug_id!r}")
             gold = rec.get("gold", [])
             # A bare string would otherwise be read as a set of characters.
             if not isinstance(gold, list) or not all(isinstance(g, str) for g in gold):
@@ -239,6 +244,8 @@ def load_external_scores(
                 logger.warning("%s:%d: score for unknown bug id %r", path, lineno, bug)
                 known.add(bug)  # warn once per id
             modules[module] = score
+    from . import combine
+
     return combine.TechniqueScores(technique=technique, by_bug=by_bug)
 
 
@@ -462,6 +469,8 @@ def to_combine_inputs(
     tech = system.techniques.get(technique)
     if tech is None:
         raise ValueError(f"system {system.name}: technique {technique!r} not prepared")
+    from . import combine
+
     return (
         combine.System(
             name=system.name,

@@ -1,4 +1,4 @@
-"""Smell instances, configurations, aggregation, and an exemplar detector.
+"""Smell instances, configurations, and aggregation.
 
 A smell report is a flat list of instances (type, module, optional method,
 severity 1..10) coming from an external detector. A configuration picks a
@@ -10,10 +10,8 @@ are files.
 
 from __future__ import annotations
 
-import math
-import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 CLASS_GRANULARITY = "class"
 METHOD_GRANULARITY = "method"
@@ -144,41 +142,37 @@ def _per_type(instances: Sequence[SmellInstance]) -> dict[str, list[int]]:
     return groups
 
 
-def aggregate(instances: Sequence[SmellInstance], aggregator: str) -> float:
-    """Collapse a module's selected instances to one number; empty -> 0."""
+def _aggregator(aggregator: str) -> Callable[[Sequence[SmellInstance]], float]:
+    """The function behind an aggregator label, for nonempty instance lists.
+
+    Only a5-a10 need ``statistics``; it is imported here, once per chosen
+    aggregator, so commands that never average load none of it.
+    """
     if aggregator not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    if not instances:
-        return 0.0
-    severities = [inst.severity for inst in instances]
     if aggregator == "a1":
-        return float(sum(severities))
+        return lambda instances: float(sum(i.severity for i in instances))
     if aggregator == "a2":
-        return float(max(severities))
+        return lambda instances: float(max(i.severity for i in instances))
     if aggregator == "a3":
-        return 1.0
+        return lambda instances: 1.0
     if aggregator == "a4":
-        return float(len(severities))
-    if aggregator == "a5":
-        return float(statistics.mean(severities))
-    if aggregator == "a6":
-        return float(statistics.median(severities))
-    groups = _per_type(instances)
-    if aggregator == "a7":
-        return float(statistics.mean(max(sevs) for sevs in groups.values()))
-    if aggregator == "a8":
-        return float(statistics.median(max(sevs) for sevs in groups.values()))
-    if aggregator == "a9":
-        return float(statistics.mean(len(sevs) for sevs in groups.values()))
-    return float(statistics.median(len(sevs) for sevs in groups.values()))
+        return lambda instances: float(len(instances))
+    import statistics
+
+    center = statistics.mean if aggregator in ("a5", "a7", "a9") else statistics.median
+    if aggregator in ("a5", "a6"):
+        return lambda instances: float(center([i.severity for i in instances]))
+    per_type = max if aggregator in ("a7", "a8") else len
+    return lambda instances: float(
+        center([per_type(sevs) for sevs in _per_type(instances).values()])
+    )
 
 
-def smell_value(
-    module: str, report: Iterable[SmellInstance], config: SmellConfiguration
-) -> float:
-    """Raw smell value of one module under a configuration."""
-    mine = [inst for inst in report if inst.module == module]
-    return aggregate(select_instances(mine, config), config.aggregator)
+def aggregate(instances: Sequence[SmellInstance], aggregator: str) -> float:
+    """Collapse a module's selected instances to one number; empty -> 0."""
+    value = _aggregator(aggregator)
+    return value(instances) if instances else 0.0
 
 
 def smell_values(
@@ -187,68 +181,11 @@ def smell_values(
     config: SmellConfiguration,
 ) -> dict[str, float]:
     """Raw smell values for a whole module universe; absent modules get 0."""
-    selected = select_instances(report, config)
+    value = _aggregator(config.aggregator)
     by_module: dict[str, list[SmellInstance]] = {}
-    for inst in selected:
+    for inst in select_instances(report, config):
         by_module.setdefault(inst.module, []).append(inst)
     return {
-        module: aggregate(by_module.get(module, ()), config.aggregator)
+        module: value(by_module[module]) if module in by_module else 0.0
         for module in modules
     }
-
-
-@dataclass(frozen=True)
-class MetricVector:
-    """Class-level metrics consumed by the God Class detector."""
-
-    atfd: float  # accesses to foreign data
-    wmc: float  # weighted method count
-    tcc: float  # tight class cohesion
-
-    def __post_init__(self):
-        if self.atfd < 0 or self.wmc < 0:
-            raise ValueError("atfd and wmc must be nonnegative")
-        if not 0.0 <= self.tcc <= 1.0:
-            raise ValueError("tcc must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class GodClassThresholds:
-    atfd: float
-    wmc: float
-    tcc: float
-
-    def __post_init__(self):
-        if self.atfd <= 0 or self.wmc <= 0 or self.tcc <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.tcc > 1.0:
-            raise ValueError("tcc threshold must lie in (0, 1]")
-
-
-def detect_god_class(metrics: MetricVector, thresholds: GodClassThresholds) -> bool:
-    """Metric-based God Class check; every comparison is inclusive.
-
-    High foreign-data access and complexity plus low cohesion together
-    flag the class, so tcc is compared downward.
-    """
-    return (
-        metrics.atfd >= thresholds.atfd
-        and metrics.wmc >= thresholds.wmc
-        and metrics.tcc <= thresholds.tcc
-    )
-
-
-def severity_from_metric(value: float, threshold: float) -> int:
-    """Severity as how many times a metric value covers its threshold.
-
-    The ratio is floored and clamped to [1, 10]. A value below the threshold
-    means the smell would not have been detected at all, so it is an error
-    rather than severity 0.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if value < threshold:
-        raise ValueError(
-            f"metric below detection threshold: {value} < {threshold}"
-        )
-    return min(10, max(1, math.floor(value / threshold)))

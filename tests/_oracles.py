@@ -4,8 +4,9 @@ Each oracle takes a deliberately different route from the implementation
 under test: the stemmer is a procedural buffer-and-offsets port, the splitter
 is a character loop and, separately, a two-stage regex, cosine goes through
 dense numpy vectors, the rank metrics count positions exhaustively, Cliff's
-delta is the O(n*m) double loop, relative risk is direct set counting, and
-the alpha sweep fully sorts the universe at every grid point.
+delta is the O(n*m) double loop, relative risk is direct set counting,
+the alpha sweep fully sorts the universe at every grid point, and a smell
+value is aggregated one module at a time from the whole report.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from smelloc.combine import ALPHA_GRID, _N_STATS, normalize
 from smelloc.metrics import ranking_stats
+from smelloc.smells import aggregate, select_instances
 
 
 class PorterReference:
@@ -392,3 +394,9 @@ def sweep_stats_by_sorting(system, scores, norm_smell):
                 row[k] += stats[k]
             row[5] += 1.0
     return [tuple(row) for row in per_alpha]
+
+
+def smell_value(module, report, config) -> float:
+    """Raw smell value of one module: filter the report, then aggregate."""
+    mine = [inst for inst in report if inst.module == module]
+    return aggregate(select_instances(mine, config), config.aggregator)

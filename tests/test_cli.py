@@ -3,9 +3,14 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smelloc
 from smelloc.cli import main
 from smelloc.index import load_index
 from smelloc.smells import ALL_TYPE_NAMES
@@ -1033,6 +1038,20 @@ class TestStrictInputs:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bugs}: bug report #0: ")
 
+    @pytest.mark.parametrize("bug_id", [None, 7])
+    def test_non_string_id_exits_2(self, java_system, tmp_path, capsys, bug_id):
+        bugs = tmp_path / "bugs.json"
+        bugs.write_text(
+            json.dumps([{"id": bug_id, "summary": "x", "gold": ["com/app/StoreManager.java"]}]),
+            encoding="utf-8",
+        )
+        rc = main(["rank", "--technique", "vsm", "--bugs", str(bugs), "--snapshot",
+                   str(java_system["src"]), "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bugs}: bug report #0: id must be a string, got {bug_id!r}\n"
+        )
+
     @pytest.mark.parametrize("severity", [True, 2.5])
     def test_non_integer_severity_exits_2(self, java_system, tmp_path, capsys, severity):
         smells = tmp_path / "smells.json"
@@ -1140,6 +1159,63 @@ class TestCommonFlags:
         assert rc == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
+    def _blend(self, hbase_fixture, out, *extra):
+        return main(
+            [
+                "combine",
+                "--scores",
+                str(hbase_fixture["scores"]),
+                "--smells",
+                str(hbase_fixture["smells"]),
+                "--out",
+                str(out),
+                *extra,
+            ]
+        )
+
+    @pytest.mark.parametrize("alpha", ["0.3", 0.3])
+    def test_run_config_value_reads_like_the_flag(self, hbase_fixture, tmp_path, alpha):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"alpha": alpha}))
+        flag_out, config_out = tmp_path / "flag.jsonl", tmp_path / "config.jsonl"
+        assert self._blend(hbase_fixture, flag_out, "--alpha", "0.3") == 0
+        assert self._blend(hbase_fixture, config_out, "--run-config", str(run_config)) == 0
+        assert config_out.read_bytes() == flag_out.read_bytes()
+
+    def test_run_config_list_flag_takes_one_value(self, java_system, tmp_path, capsys):
+        run_config = tmp_path / "run.json"
+        index = ["index", "--snapshot", str(java_system["src"]), "--run-config", str(run_config)]
+        run_config.write_text(json.dumps({"extensions": ".kt"}))
+        assert main(index + ["--out", str(tmp_path / "kt.bin")]) == 2
+        assert "no source files" in capsys.readouterr().err
+        run_config.write_text(json.dumps({"extensions": ".java"}))
+        assert main(index + ["--out", str(tmp_path / "java.bin")]) == 0
+        assert main(["index", "--snapshot", str(java_system["src"]),
+                     "--out", str(tmp_path / "plain.bin")]) == 0
+        assert (tmp_path / "java.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"alpha": "x"},
+            {"alpha": None},
+            {"alpha": True},
+            {"alpha": [0.3]},
+            {"alpha": {"value": 0.3}},
+            {"jobs": "2.5"},
+            {"metric": "bogus"},
+            {"sweep": "yes"},
+        ],
+    )
+    def test_bad_run_config_value_exits_2(self, hbase_fixture, tmp_path, capsys, cfg):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps(cfg))
+        rc = self._blend(hbase_fixture, tmp_path / "x", "--alpha", "0",
+                         "--run-config", str(run_config))
+        assert rc == 2
+        (key,) = cfg
+        assert capsys.readouterr().err.startswith(f"error: {run_config}: key {key!r}: ")
+
     def test_seedless_check(self, java_system, tmp_path, capsys):
         rc = main(
             [
@@ -1173,3 +1249,54 @@ class TestCommonFlags:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports smelloc from this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(smelloc.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=False
+    )
+
+
+class TestStartup:
+    # Modules only some commands run; importing the CLI must not load them.
+    DEFERRED = (
+        "smelloc.combine",
+        "smelloc.risk",
+        "smelloc.metrics",
+        "concurrent.futures.process",
+        "xml.etree.ElementTree",
+        "csv",
+    )
+
+    def test_cli_import_leaves_command_modules_unloaded(self):
+        proc = _fresh_python(
+            "-c",
+            "import smelloc.cli, sys; "
+            f"print([m for m in {self.DEFERRED!r} if m in sys.modules])",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("seedless", [False, True])
+    def test_seedless_scan_covers_every_module(self, java_system, tmp_path, seedless):
+        script = (
+            "import json, sys, smelloc.cli; rc = smelloc.cli.main(sys.argv[1:]); "
+            "print(json.dumps([m for m in sys.modules if m.startswith('smelloc.')])); "
+            "sys.exit(rc)"
+        )
+        argv = ["rank", "--technique", "rvsm", "--bugs", str(java_system["bugs"]),
+                "--snapshot", str(java_system["src"]), "--out", str(tmp_path / "r.jsonl")]
+        proc = _fresh_python("-c", script, *argv, *(["--seedless"] if seedless else []))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        loaded = set(json.loads(lines[-1]))
+        package = Path(smelloc.__file__).parent
+        every = {f"smelloc.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+        if seedless:
+            assert "seedless check passed: no random number generator linked in" in lines
+            assert loaded == every
+        else:
+            # rank alone leaves modules the scan must still reach.
+            assert {"smelloc.combine", "smelloc.risk", "smelloc.metrics"}.isdisjoint(loaded)

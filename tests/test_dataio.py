@@ -92,6 +92,25 @@ class TestBugReports:
             f"{path}: bug report #1: gold must be a JSON array of strings"
         )
 
+    @pytest.mark.parametrize("bug_id", [None, 7, 7.5, True, {"id": "B-2"}, ["B-2"]])
+    def test_id_must_be_string(self, tmp_path, bug_id):
+        path = tmp_path / "bugs.json"
+        path.write_text(
+            json.dumps([{"id": "B-1", "gold": ["a"]}, {"id": bug_id, "gold": ["b"]}]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            load_bug_reports(path)
+        assert str(info.value) == (
+            f"{path}: bug report #1: id must be a string, got {bug_id!r}"
+        )
+
+    def test_empty_id_rejected(self, tmp_path):
+        path = tmp_path / "bugs.json"
+        path.write_text(json.dumps([{"id": "", "gold": ["a"]}]), encoding="utf-8")
+        with pytest.raises(ValueError, match="bug report #0: bug report needs a nonempty id"):
+            load_bug_reports(path)
+
     def test_report_validation(self):
         with pytest.raises(ValueError, match="nonempty id"):
             BugReport(id="", summary="", description="", gold=frozenset({"a"}))

@@ -1,4 +1,4 @@
-"""Tests for smell instances, configurations, aggregation, and the detector."""
+"""Tests for smell instances, configurations, and aggregation."""
 
 import random
 import statistics
@@ -16,18 +16,15 @@ from smelloc.smells import (
     METHOD_GRANULARITY,
     METHOD_SMELL_TYPES,
     SMELL_TYPE_BY_NAME,
-    GodClassThresholds,
-    MetricVector,
     SmellConfiguration,
     SmellInstance,
     aggregate,
-    detect_god_class,
     is_original_index,
     select_instances,
-    severity_from_metric,
-    smell_value,
     smell_values,
 )
+
+from _oracles import smell_value
 
 BLOB = SMELL_TYPE_BY_NAME["Blob Class"]
 GOD = SMELL_TYPE_BY_NAME["God Class"]
@@ -239,59 +236,3 @@ class TestSmellValues:
         cfg = SmellConfiguration(CLASS_GRANULARITY, "a1", ALL_TYPE_NAMES)
         table = smell_values(["X.java"], [_cls(BLOB, "A.java", 5)], cfg)
         assert table == {"X.java": 0.0}
-
-
-class TestGodClassDetector:
-    THRESHOLDS = GodClassThresholds(atfd=5.0, wmc=47.0, tcc=0.33)
-
-    def test_inclusive_boundaries(self):
-        at = MetricVector(atfd=5.0, wmc=47.0, tcc=0.33)
-        assert detect_god_class(at, self.THRESHOLDS)
-        assert not detect_god_class(
-            MetricVector(atfd=4.999, wmc=47.0, tcc=0.33), self.THRESHOLDS
-        )
-        assert not detect_god_class(
-            MetricVector(atfd=5.0, wmc=46.999, tcc=0.33), self.THRESHOLDS
-        )
-        assert not detect_god_class(
-            MetricVector(atfd=5.0, wmc=47.0, tcc=0.331), self.THRESHOLDS
-        )
-
-    def test_cohesion_compared_downward(self):
-        smelly = MetricVector(atfd=20.0, wmc=100.0, tcc=0.05)
-        cohesive = MetricVector(atfd=20.0, wmc=100.0, tcc=0.9)
-        assert detect_god_class(smelly, self.THRESHOLDS)
-        assert not detect_god_class(cohesive, self.THRESHOLDS)
-
-    def test_metric_validation(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            MetricVector(atfd=-1.0, wmc=1.0, tcc=0.5)
-        with pytest.raises(ValueError, match="tcc"):
-            MetricVector(atfd=1.0, wmc=1.0, tcc=1.5)
-        with pytest.raises(ValueError, match="positive"):
-            GodClassThresholds(atfd=0.0, wmc=47.0, tcc=0.33)
-
-
-class TestSeverityFromMetric:
-    def test_floor_and_clamp(self):
-        assert severity_from_metric(5.0, 5.0) == 1
-        assert severity_from_metric(9.99, 5.0) == 1
-        assert severity_from_metric(10.0, 5.0) == 2
-        assert severity_from_metric(47.0, 5.0) == 9
-        assert severity_from_metric(50.0, 5.0) == 10
-        assert severity_from_metric(5000.0, 5.0) == 10
-
-    def test_below_threshold_is_error(self):
-        with pytest.raises(ValueError, match="below detection threshold"):
-            severity_from_metric(4.0, 5.0)
-        with pytest.raises(ValueError, match="threshold must be positive"):
-            severity_from_metric(4.0, 0.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.floats(min_value=0.01, max_value=1000.0),
-        st.floats(min_value=1.0, max_value=50.0),
-    )
-    def test_always_in_band(self, ratio, threshold):
-        value = threshold * (1.0 + ratio)
-        assert 1 <= severity_from_metric(value, threshold) <= 10
