@@ -20,7 +20,7 @@ import logging
 import sys
 import traceback
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import dataio, manifest
 from .corpus import build_corpus, build_query, source_files
@@ -109,21 +109,6 @@ def _seedless_check() -> None:
     if offenders:
         raise RuntimeError(f"random number use detected in: {offenders}")
     print("seedless check passed: no random number generator linked in")
-
-
-def _write_score_lines(
-    path: str | Path, rankings: Sequence[ScoredRanking]
-) -> None:
-    """Dump rankings in the interchange score format, best score first."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ranking in rankings:
-            for module, score in ranking.entries:
-                fh.write(
-                    json.dumps(
-                        {"bug": ranking.bug_id, "module": module, "score": score}
-                    )
-                )
-                fh.write("\n")
 
 
 def _load_selectors(path: str | None) -> dict[str, frozenset[str]]:
@@ -232,7 +217,7 @@ def cmd_rank(args) -> int:
         raise UsageError(
             f"unknown technique {technique!r} (use vsm, rvsm, or external:<name>)"
         )
-    _write_score_lines(args.out, rankings)
+    dataio.write_score_lines(args.out, rankings)
     manifest.write_sidecar_manifest(
         args.out, manifest.build_manifest(sys.argv[1:], inputs)
     )
@@ -344,7 +329,7 @@ def cmd_combine(args) -> int:
         norm_score = combine.normalize({m: per_bug.get(m, 0.0) for m in universe})
         blended = combine.blend(norm_score, norm_smell, alpha)
         rankings.append(rank(blended, bug_id, f"blend:{config.label()}"))
-    _write_score_lines(args.out, rankings)
+    dataio.write_score_lines(args.out, rankings)
     manifest.write_sidecar_manifest(args.out, run_manifest)
     print(f"blended {len(rankings)} rankings at alpha {alpha:g} -> {args.out}")
     return 0
@@ -807,13 +792,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
+def _flag_dests(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    return {a.dest: a for a in command._actions if a.option_strings}
+
+
+def _run_config_defaults(
+    path: str,
+    command: argparse.ArgumentParser,
+    commands: Iterable[argparse.ArgumentParser],
+) -> dict:
     """The run config's values for the command's flags, converted and checked.
 
-    Keys name flags without the leading dashes (``"alpha"``, ``"selectors-out"``);
-    keys that are no flag of this command are ignored, so one file can serve
-    several commands. A switch takes true or false; any other flag takes one
-    string or number, read as if typed after the flag.
+    Keys name flags without the leading dashes (``"alpha"``, ``"selectors-out"``).
+    A key that names a flag of another command only is ignored, so one file
+    can serve several commands; a key that names no flag of any command is
+    an error, so a misspelt key is not dropped silently. A switch takes true
+    or false; any other flag takes one string or number, read as if typed
+    after the flag.
     """
     with open(_require_file(path, "run config"), encoding="utf-8") as fh:
         try:
@@ -822,13 +817,17 @@ def _run_config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
             raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: run config must be a JSON object")
-    actions = {a.dest: a for a in command._actions if a.option_strings}
+    actions = _flag_dests(command)
+    known = {dest for other in commands for dest in _flag_dests(other)}
     defaults = {}
     for key, value in cfg.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            continue
         where = f"{path}: key {key!r}"
+        dest = key.replace("-", "_")
+        action = actions.get(dest)
+        if action is None:
+            if dest not in known:
+                raise UsageError(f"{where} names no flag of any command")
+            continue
         if action.nargs == 0:
             if not isinstance(value, bool):
                 raise UsageError(f"{where}: expected true or false, got {value!r}")
@@ -858,7 +857,9 @@ def _apply_run_config(
     """
     commands = next(a for a in parser._actions if a.dest == "command").choices
     command = commands[args.command]
-    command.set_defaults(**_run_config_defaults(args.run_config, command))
+    command.set_defaults(
+        **_run_config_defaults(args.run_config, command, commands.values())
+    )
     return parser.parse_args(argv)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .corpus import TokenDocument, build_corpus, build_query
-from .index import build_index, cosine_score, rvsm_score
+from .index import ScoredRanking, build_index, cosine_score, rvsm_score
 from .smells import SMELL_TYPE_BY_NAME, SmellInstance
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -193,21 +193,34 @@ def load_smell_report(path: str | Path) -> tuple[SmellInstance, ...]:
             smell_type = SMELL_TYPE_BY_NAME.get(type_name)
             if smell_type is None:
                 raise ValueError(f"unknown smell type {type_name!r}")
+            module = rec["module"]
+            # str() would turn null into module "None" and ["x"] into "['x']".
+            if not isinstance(module, str):
+                raise ValueError(f"module must be a string, got {module!r}")
             severity = rec["severity"]
             # bool is an int subclass, and a float would pass the range check.
             if isinstance(severity, bool) or not isinstance(severity, int):
                 raise ValueError(f"severity must be an integer, got {severity!r}")
+            method = rec.get("method")
+            if method is not None and not isinstance(method, str):
+                raise ValueError(f"method must be a string, got {method!r}")
             instances.append(
                 SmellInstance(
                     type=smell_type,
-                    module=str(rec["module"]),
+                    module=module,
                     severity=severity,
-                    method_signature=rec.get("method"),
+                    method_signature=method,
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: smell instance #{pos}: {exc}") from exc
     return tuple(instances)
+
+
+# One decoder for every score line: raw_decode is json.loads without its
+# whitespace scans and wrapper calls, and it says where the value ends.
+_decode_line = json.JSONDecoder().raw_decode
+_BOM_ERROR = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 def load_external_scores(
@@ -217,9 +230,11 @@ def load_external_scores(
 ) -> combine.TechniqueScores:
     """Read JSON lines of {"bug", "module", "score"}.
 
-    Non-finite scores are kept as parsed; the validity filter flags them
-    later instead of this loader repairing them silently. Duplicate
-    (bug, module) pairs are an error; bug ids outside known_bugs only warn.
+    Bug and module must be JSON strings and the score a JSON number; each
+    line decodes as json.loads would, errors included. Non-finite scores are
+    kept as parsed; the validity filter flags them later instead of this
+    loader repairing them silently. Duplicate (bug, module) pairs are an
+    error; bug ids outside known_bugs only warn.
     """
     by_bug: dict[str, dict[str, float]] = {}
     known = set(known_bugs) if known_bugs is not None else None
@@ -229,24 +244,64 @@ def load_external_scores(
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                bug = str(rec["bug"])
-                module = str(rec["module"])
-                score = float(rec["score"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                rec, end = _decode_line(line)
+                if end != len(line):
+                    # json.loads reports the extra data after any whitespace.
+                    extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
+                    raise json.JSONDecodeError("Extra data", line, extra)
+                bug = rec["bug"]
+                module = rec["module"]
+                score = rec["score"]
+                if type(bug) is not str:
+                    raise ValueError(f"bug must be a string, got {bug!r}")
+                if type(module) is not str:
+                    raise ValueError(f"module must be a string, got {module!r}")
+                if type(score) is not float:
+                    # A bool is an int to Python but no JSON number.
+                    if type(score) is not int:
+                        raise ValueError(f"score must be a number, got {score!r}")
+                    score = float(score)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if line.startswith("\ufeff"):  # json.loads names the BOM
+                    exc = json.JSONDecodeError(_BOM_ERROR, line, 0)
                 raise ValueError(f"{path}:{lineno}: bad score entry: {exc}") from exc
-            modules = by_bug.setdefault(bug, {})
+            modules = by_bug.get(bug)
+            if modules is None:
+                modules = by_bug[bug] = {}
+                if known is not None and bug not in known:
+                    logger.warning("%s:%d: score for unknown bug id %r", path, lineno, bug)
             if module in modules:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate score for bug {bug!r}, module {module!r}"
                 )
-            if known is not None and bug not in known:
-                logger.warning("%s:%d: score for unknown bug id %r", path, lineno, bug)
-                known.add(bug)  # warn once per id
             modules[module] = score
     from . import combine
 
     return combine.TechniqueScores(technique=technique, by_bug=by_bug)
+
+
+def write_score_lines(path: str | Path, rankings: Iterable[ScoredRanking]) -> None:
+    """Dump rankings as score-dump lines, best score first.
+
+    Each line is the json.dumps of {"bug", "module", "score"}. Each bug id and
+    each distinct module id is encoded once, and each score with
+    float.__repr__, which is what json.dumps writes for a finite float
+    (``rank`` rejects the others). One write per ranking keeps memory flat.
+    """
+    names: dict[str, str] = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        for ranking in rankings:
+            head = '{"bug": ' + json.dumps(ranking.bug_id) + ', "module": '
+            lines = []
+            for module, score in ranking.entries:
+                name = names.get(module)
+                if name is None:
+                    name = names[module] = json.dumps(module)
+                lines.append(f'{head}{name}, "score": {float.__repr__(score)}}}\n')
+            fh.write("".join(lines))
+
+
+_DESCRIPTOR_FIELDS = ("project", "version", "snapshot", "bugs", "smells")
 
 
 def load_descriptor(path: str | Path) -> SystemDescriptor:
@@ -257,25 +312,33 @@ def load_descriptor(path: str | Path) -> SystemDescriptor:
             rec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise _json_error(path, exc) from exc
+    if not isinstance(rec, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    try:
+        fields = {key: rec[key] for key in _DESCRIPTOR_FIELDS}
+    except KeyError as exc:
+        raise ValueError(f"{path}: descriptor missing key {exc}") from exc
+    # str() would turn null into "None"; Path() of a number would crash.
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{path}: {key} must be a string, got {value!r}")
+    scores = rec.get("scores", {})
+    if not isinstance(scores, dict) or not all(isinstance(p, str) for p in scores.values()):
+        raise ValueError(f"{path}: scores must be an object of paths, got {scores!r}")
     base = path.parent
 
-    def resolve(p) -> Path:
+    def resolve(p: str) -> Path:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    try:
-        return SystemDescriptor(
-            project=str(rec["project"]),
-            version=str(rec["version"]),
-            snapshot_path=resolve(rec["snapshot"]),
-            bug_reports_path=resolve(rec["bugs"]),
-            smell_report_path=resolve(rec["smells"]),
-            external_score_paths={
-                name: resolve(p) for name, p in rec.get("scores", {}).items()
-            },
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: descriptor missing key {exc}") from exc
+    return SystemDescriptor(
+        project=fields["project"],
+        version=fields["version"],
+        snapshot_path=resolve(fields["snapshot"]),
+        bug_reports_path=resolve(fields["bugs"]),
+        smell_report_path=resolve(fields["smells"]),
+        external_score_paths={name: resolve(p) for name, p in scores.items()},
+    )
 
 
 def load_system(

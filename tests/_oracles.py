@@ -5,21 +5,27 @@ under test: the stemmer is a procedural buffer-and-offsets port, the splitter
 is a character loop and, separately, a two-stage regex, cosine goes through
 dense numpy vectors, the rank metrics count positions exhaustively, Cliff's
 delta is the O(n*m) double loop, relative risk is direct set counting,
-the alpha sweep fully sorts the universe at every grid point, and a smell
-value is aggregated one module at a time from the whole report.
+the alpha sweep fully sorts the universe at every grid point, a smell
+value is aggregated one module at a time from the whole report, and score
+dumps go through one json.loads or json.dumps call per line.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import re
 import string
 from fractions import Fraction
 
 import numpy as np
 
-from smelloc.combine import ALPHA_GRID, _N_STATS, normalize
+from smelloc.combine import ALPHA_GRID, _N_STATS, TechniqueScores, normalize
 from smelloc.metrics import ranking_stats
 from smelloc.smells import aggregate, select_instances
+
+# The score-dump oracles warn under the loader's own logger name.
+logger = logging.getLogger("smelloc.dataio")
 
 
 class PorterReference:
@@ -400,3 +406,49 @@ def smell_value(module, report, config) -> float:
     """Raw smell value of one module: filter the report, then aggregate."""
     mine = [inst for inst in report if inst.module == module]
     return aggregate(select_instances(mine, config), config.aggregator)
+
+
+def load_external_scores_by_json_loads(path, technique, known_bugs=None):
+    """Read JSON lines of {"bug", "module", "score"}, one json.loads per line.
+
+    Non-finite scores are kept as parsed; the validity filter flags them
+    later instead of this loader repairing them silently. Duplicate
+    (bug, module) pairs are an error; bug ids outside known_bugs only warn.
+    """
+    by_bug: dict[str, dict[str, float]] = {}
+    known = set(known_bugs) if known_bugs is not None else None
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                bug = str(rec["bug"])
+                module = str(rec["module"])
+                score = float(rec["score"])
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad score entry: {exc}") from exc
+            modules = by_bug.setdefault(bug, {})
+            if module in modules:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate score for bug {bug!r}, module {module!r}"
+                )
+            if known is not None and bug not in known:
+                logger.warning("%s:%d: score for unknown bug id %r", path, lineno, bug)
+                known.add(bug)  # warn once per id
+            modules[module] = score
+    return TechniqueScores(technique=technique, by_bug=by_bug)
+
+
+def write_score_lines_by_json_dumps(path, rankings) -> None:
+    """Dump rankings in the interchange score format, one json.dumps per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for ranking in rankings:
+            for module, score in ranking.entries:
+                fh.write(
+                    json.dumps(
+                        {"bug": ranking.bug_id, "module": module, "score": score}
+                    )
+                )
+                fh.write("\n")

@@ -942,6 +942,20 @@ class TestConfigSearchCommand:
         assert rc == 2
         assert "unknown smell types" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("project", None), ("version", 1.0)])
+    def test_non_string_descriptor_field_exits_2(self, java_system, tmp_path, capsys,
+                                                 key, value):
+        rec = json.loads(java_system["descriptor"].read_text())
+        rec[key] = value
+        descriptor = java_system["descriptor"].with_name("bad.json")
+        descriptor.write_text(json.dumps(rec))
+        rc = main(["config-search", "--systems", str(descriptor), "--technique", "rvsm",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {descriptor}: {key} must be a string, got {value!r}\n"
+        )
+
     def test_unknown_technique(self, java_system, tmp_path, capsys):
         rc = main(
             [
@@ -1050,6 +1064,20 @@ class TestStrictInputs:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {bugs}: bug report #0: id must be a string, got {bug_id!r}\n"
+        )
+
+    @pytest.mark.parametrize("module", [None, ["x"]])
+    def test_non_string_smell_module_exits_2(self, java_system, tmp_path, capsys, module):
+        smells = tmp_path / "smells.json"
+        smells.write_text(
+            json.dumps([{"type": "Blob Class", "module": module, "severity": 5}]),
+            encoding="utf-8",
+        )
+        rc = main(["risk", "--smells", str(smells), "--snapshot", str(java_system["src"]),
+                   "--bugs", str(java_system["bugs"]), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {smells}: smell instance #0: module must be a string, got {module!r}\n"
         )
 
     @pytest.mark.parametrize("severity", [True, 2.5])
@@ -1215,6 +1243,26 @@ class TestCommonFlags:
         assert rc == 2
         (key,) = cfg
         assert capsys.readouterr().err.startswith(f"error: {run_config}: key {key!r}: ")
+
+    def test_misspelt_run_config_key_exits_2(self, hbase_fixture, tmp_path, capsys):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"alhpa": 0.3}))
+        rc = self._blend(hbase_fixture, tmp_path / "x", "--alpha", "0.5",
+                         "--run-config", str(run_config))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {run_config}: key 'alhpa' names no flag of any command\n"
+        )
+
+    def test_other_commands_run_config_keys_ignored(self, hbase_fixture, tmp_path):
+        run_config = tmp_path / "run.json"
+        # snapshot and selectors-out are flags of other commands, not combine's.
+        run_config.write_text(json.dumps({"alpha": 0.3, "snapshot": "src",
+                                          "selectors-out": "s.json"}))
+        flag_out, config_out = tmp_path / "flag.jsonl", tmp_path / "config.jsonl"
+        assert self._blend(hbase_fixture, flag_out, "--alpha", "0.3") == 0
+        assert self._blend(hbase_fixture, config_out, "--run-config", str(run_config)) == 0
+        assert config_out.read_bytes() == flag_out.read_bytes()
 
     def test_seedless_check(self, java_system, tmp_path, capsys):
         rc = main(

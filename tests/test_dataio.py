@@ -4,8 +4,11 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smelloc import combine
+from smelloc.cli import main
 from smelloc.dataio import (
     REASON_MISSING,
     REASON_NAN,
@@ -24,10 +27,13 @@ from smelloc.dataio import (
     prepare_system,
     to_combine_inputs,
     validate_ranking,
+    write_score_lines,
 )
+from smelloc.index import ScoredRanking
 from smelloc.smells import SMELL_TYPE_BY_NAME, SmellInstance
 
-from conftest import JAVA_BUGS, JAVA_SMELLS, JAVA_SNAPSHOT
+from _oracles import load_external_scores_by_json_loads, write_score_lines_by_json_dumps
+from conftest import JAVA_BUGS, JAVA_SMELLS, JAVA_SNAPSHOT, write_hbase_fixture
 
 
 class TestBugReports:
@@ -170,6 +176,28 @@ class TestSmellReport:
             f"{path}: smell instance #1: severity must be an integer"
         )
 
+    @pytest.mark.parametrize("module", [None, ["x"], 7])
+    def test_module_must_be_string(self, tmp_path, module):
+        path = tmp_path / "smells.json"
+        path.write_text(
+            json.dumps([{"type": "Blob Class", "module": module, "severity": 5}]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            load_smell_report(path)
+        assert str(info.value) == (
+            f"{path}: smell instance #0: module must be a string, got {module!r}"
+        )
+
+    def test_method_must_be_string(self, tmp_path):
+        path = tmp_path / "smells.json"
+        path.write_text(
+            json.dumps([{"type": "Feature Envy", "module": "a", "method": 5, "severity": 5}]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="#0: method must be a string, got 5"):
+            load_smell_report(path)
+
     def test_method_smell_needs_signature(self, tmp_path):
         path = tmp_path / "smells.json"
         path.write_text(
@@ -256,6 +284,177 @@ class TestExternalScores:
         assert value != value  # the validity filter flags it downstream
 
 
+def _hex_map(by_bug):
+    """Score maps with floats as float.hex, keeping every dict's key order."""
+    return [(bug, [(m, v.hex()) for m, v in scores.items()]) for bug, scores in by_bug.items()]
+
+
+def _outcome(load, path):
+    """What a loader makes of a dump: its score maps or its error message."""
+    try:
+        return _hex_map(load(path, "t", known_bugs=["B-1"]).by_bug)
+    except ValueError as exc:  # a duplicate (bug, module) pair
+        return str(exc)
+
+
+# Ids with quotes, backslashes, control characters, non-ASCII characters and
+# lone surrogates, all of which json.dumps escapes.
+_ID_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff",
+                     "\xe9", "\u2603", "\U0001d11e", "/", " "]),
+    st.characters(),
+)
+_IDS = st.text(_ID_CHARS, min_size=1, max_size=8)
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1.0, 1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestScoreDumpsAgainstOracles:
+    """The score-dump reader and writer against their json.loads/json.dumps
+    references in tests/_oracles.py, every float compared by float.hex."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_IDS, st.dictionaries(_IDS, _SCORES, max_size=8)),
+            max_size=4,
+            unique_by=lambda r: r[0],
+        )
+    )
+    def test_writer_bytes_match_oracle(self, tmp_path_factory, raw):
+        rankings = [
+            ScoredRanking(bug_id=bug, technique="t", entries=tuple(scores.items()))
+            for bug, scores in raw
+        ]
+        work = tmp_path_factory.mktemp("write")
+        write_score_lines(work / "new.jsonl", rankings)
+        write_score_lines_by_json_dumps(work / "old.jsonl", rankings)
+        assert (work / "new.jsonl").read_bytes() == (work / "old.jsonl").read_bytes()
+        # JSON joins an escaped surrogate pair into one character, so the
+        # dump is read back with the reference loader, not compared to raw.
+        assert _outcome(load_external_scores, work / "new.jsonl") == _outcome(
+            load_external_scores_by_json_loads, work / "new.jsonl"
+        )
+
+    @staticmethod
+    def _line(rng, bug, module, score):
+        """One record with shuffled keys and random JSON whitespace."""
+        items = [("bug", bug), ("module", module), ("score", score)]
+        rng.shuffle(items)
+        ws = lambda: rng.choice(["", " ", "\t", "  "])
+        body = ",".join(
+            f"{ws()}{json.dumps(k)}{ws()}:{ws()}{v}{ws()}" for k, v in items
+        )
+        return rng.choice(["", " ", "\t", "\x0c"]) + "{" + body + "}" + rng.choice(["", " "])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["B-1", "B-2", "\u00e9\"q", "\ud800"]),
+                           st.builds("{}{}".format,
+                                     st.sampled_from(["a", "c/D.java", "\\x", "\u2603"]),
+                                     st.integers(0, 9)),
+                           st.one_of(
+                               _SCORES.map(repr),
+                               st.integers(-10**20, 10**20).map(str),
+                               st.sampled_from(["NaN", "Infinity", "-Infinity", "1e5",
+                                                "-0.0", "1E-400", "2e308"]),
+                           ),
+                           st.booleans()),
+                 max_size=25),
+        st.randoms(use_true_random=False),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_loader_matches_oracle(self, tmp_path_factory, rows, rng, newline, blanks):
+        lines = []
+        for bug, module, score, ascii_ids in rows:
+            enc = lambda v: json.dumps(v, ensure_ascii=ascii_ids)
+            lines.append(self._line(rng, enc(bug), enc(module), score))
+            if blanks and rng.random() < 0.3:
+                lines.append(rng.choice(["", "  ", "\t"]))
+        path = tmp_path_factory.mktemp("load") / "scores.jsonl"
+        with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="") as fh:
+            fh.write("".join(line + newline for line in lines))
+        assert _outcome(load_external_scores, path) == _outcome(
+            load_external_scores_by_json_loads, path
+        )
+
+    def test_unknown_bug_warnings_match_oracle(self, tmp_path, caplog):
+        path = tmp_path / "scores.jsonl"
+        rows = [("ghost", "a"), ("B-1", "a"), ("ghost", "b"), ("other", "a"), ("other", "b")]
+        path.write_text("".join(
+            json.dumps({"bug": b, "module": m, "score": 0.5}) + "\n" for b, m in rows
+        ))
+        messages = []
+        for load in (load_external_scores, load_external_scores_by_json_loads):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="smelloc.dataio"):
+                load(path, "t", known_bugs=["B-1"])
+            messages.append([r.getMessage() for r in caplog.records])
+        assert messages[0] == messages[1] == [
+            f"{path}:1: score for unknown bug id 'ghost'",
+            f"{path}:4: score for unknown bug id 'other'",
+        ]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"bug": "B-1", "module": "b", "score": 1.0} x',
+            '{"bug": "B-1", "module": "b", "score": 1.0}  {"bug": "B-1"}',
+            '{"bug": "B-1", "module": "b", "score": 1.0}]',
+            '{"bug": "B-1", "module": "b", "sco',
+            '{"bug": "B-1", "module": "b"}',
+            '{"module": "b", "score": 1.0}',
+            '[1, 2]',
+            '"B-1"',
+            "null",
+            "nul",
+            '\ufeff{"bug": "B-1", "module": "b", "score": 1.0}',
+            '{"bug": "B-1", "module": "b", "score": 1.0,}',
+            '{"bug": "B-1", "module": "b", "score": .5}',
+            '{"bug": "B-1", "module": "a", "score": 1.0}',
+        ],
+    )
+    def test_malformed_line_errors_match_oracle(self, tmp_path, bad):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"bug": "B-1", "module": "a", "score": 1.0}\n' + bad + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as want:
+            load_external_scores_by_json_loads(path, "t")
+        with pytest.raises(ValueError) as got:
+            load_external_scores(path, "t")
+        assert str(want.value).startswith(f"{path}:2: ")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("bug", 7, "bug must be a string, got 7"),
+            ("bug", None, "bug must be a string, got None"),
+            ("module", ["x"], "module must be a string, got ['x']"),
+            ("score", "0.5", "score must be a number, got '0.5'"),
+            ("score", True, "score must be a number, got True"),
+            ("score", 10**400, "int too large to convert to float"),
+        ],
+        ids=["bug-int", "bug-null", "module-list", "score-str", "score-bool", "score-huge-int"],
+    )
+    def test_strict_fields_exit_2(self, tmp_path, capsys, field, value, message):
+        files = write_hbase_fixture(tmp_path)
+        scores = files["scores"]
+        rec = {"bug": "B-1", "module": "a", "score": 0.5, field: value}
+        with open(scores, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        lineno = len(scores.read_text().splitlines())
+        rc = main(["combine", "--scores", str(scores), "--smells", str(files["smells"]),
+                   "--alpha", "0.5", "--out", str(tmp_path / "blend.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {scores}:{lineno}: bad score entry: {message}\n"
+        )
+
+
 class TestDescriptorAndSystem:
     def test_descriptor_resolves_relative_paths(self, java_system):
         descriptor = load_descriptor(java_system["descriptor"])
@@ -269,6 +468,27 @@ class TestDescriptorAndSystem:
         path = tmp_path / "system.json"
         path.write_text(json.dumps({"project": "p", "version": "1"}))
         with pytest.raises(ValueError, match="descriptor missing key"):
+            load_descriptor(path)
+
+    @pytest.mark.parametrize("key", ["project", "version", "snapshot"])
+    @pytest.mark.parametrize("value", [None, 1, ["x"]])
+    def test_descriptor_fields_must_be_strings(self, tmp_path, key, value):
+        path = tmp_path / "system.json"
+        rec = {"project": "p", "version": "1", "snapshot": "src", "bugs": "b.json",
+               "smells": "s.json"}
+        rec[key] = value
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError) as info:
+            load_descriptor(path)
+        assert str(info.value) == f"{path}: {key} must be a string, got {value!r}"
+
+    @pytest.mark.parametrize("text", ["[]", '{"project": "p", "version": "1", '
+                                      '"snapshot": "s", "bugs": "b", "smells": "m", '
+                                      '"scores": {"ext": 3}}'])
+    def test_descriptor_shape_rejected(self, tmp_path, text):
+        path = tmp_path / "system.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{path}: "):
             load_descriptor(path)
 
     def test_descriptor_absolute_paths_kept(self, tmp_path):
