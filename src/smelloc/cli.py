@@ -112,20 +112,34 @@ def _seedless_check() -> None:
 
 
 def _load_selectors(path: str | None) -> dict[str, frozenset[str]]:
+    """Read a JSON object mapping selector names to arrays of smell types."""
     if not path:
         return dict(DEFAULT_SELECTORS)
-    with open(_require_file(path, "selectors"), encoding="utf-8") as fh:
-        raw = json.load(fh)
+    selectors_file = _require_file(path, "selectors")
+    with open(selectors_file, encoding="utf-8", errors="replace") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise UsageError(f"{path}: selectors must be a JSON object")
     # Files written by the risk command carry a manifest block alongside
     # the selector sets; it is metadata, not a selector.
     raw.pop("manifest", None)
-    selectors = {name: frozenset(types) for name, types in raw.items()}
-    for name, types in selectors.items():
-        unknown = types - ALL_TYPE_NAMES
+    selectors = {}
+    for name, types in raw.items():
+        # A bare string would otherwise be read as a set of characters.
+        if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+            raise UsageError(
+                f"{path}: selector {name!r} must be a JSON array of smell type "
+                f"names, got {types!r}"
+            )
+        unknown = set(types) - ALL_TYPE_NAMES
         if unknown:
             raise UsageError(
-                f"selector {name!r} names unknown smell types: {sorted(unknown)}"
+                f"{path}: selector {name!r} names unknown smell types: {sorted(unknown)}"
             )
+        selectors[name] = frozenset(types)
     selectors.setdefault("s1", frozenset(ALL_TYPE_NAMES))
     return selectors
 

@@ -304,26 +304,41 @@ def _sweep_stats(
     equals ranking the universe by a stable reverse sort at every grid
     point, without building or sorting any ranking.
     """
-    columns = []  # per report, its stats at every grid alpha
-    for report in reports:
+    points = len(ALPHA_GRID)
+    # Per grid index, the reports whose stats change there: every report
+    # starts a segment at index 0, and another where a gold position moves.
+    starts: list[list[tuple[int, tuple[float, ...]]]] = [[] for _ in range(points)]
+    for r, report in enumerate(reports):
         ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
         if not ahead:
-            columns.append([_report_stats((), report.gold_count)] * len(ALPHA_GRID))
+            starts[0].append((r, _report_stats((), report.gold_count)))
             continue
-        column = []
-        # Stats change only where some gold module's position does.
+        i = 0
         for counts, run in groupby(zip(*ahead)):
-            stats = _report_stats(sorted(c + 1 for c in counts), report.gold_count)
-            column.extend([stats] * len(list(run)))
-        columns.append(column)
+            starts[i].append(
+                (r, _report_stats(sorted(c + 1 for c in counts), report.gold_count))
+            )
+            i += len(list(run))
+    current: list[tuple[float, ...]] = [()] * len(reports)
+    count = float(len(reports))
+    row = (0.0,) * _N_STATS
     out = []
-    for key, run in groupby(zip(*columns) if columns else [()] * len(ALPHA_GRID)):
-        row = [0.0] * _N_STATS
-        for stats in key:
-            for k in range(5):
-                row[k] += stats[k]
-            row[5] += 1.0
-        out.extend([tuple(row)] * len(list(run)))
+    for changes in starts:
+        if changes:
+            for r, stats in changes:
+                current[r] = stats
+            # A left fold from 0.0 in report order, as pooling at every grid
+            # point would add them; sum() compensates on Python 3.12+ and
+            # would change the last bits.
+            top1 = top5 = top10 = rr = ap = 0.0
+            for h1, h5, h10, r_r, a_p in current:
+                top1 += h1
+                top5 += h5
+                top10 += h10
+                rr += r_r
+                ap += a_p
+            row = (top1, top5, top10, rr, ap, count)
+        out.append(row)
     return out
 
 
@@ -470,26 +485,49 @@ def enumerate_configs(
 
 def _system_task(
     args: tuple[System, TechniqueScores, tuple[SmellConfiguration, ...]]
-) -> list[list[tuple[float, ...]]]:
+) -> tuple[list[list[tuple[float, ...]]], list[int]]:
     """Sweep stats for every configuration of one system (worker body).
 
     Every report's scores are normalized once; configurations that induce
-    the same raw smell map share one sweep.
+    the same raw smell map share one sweep. Returns the distinct stats
+    lists and, per configuration, the index of its list.
     """
     system, scores, configs = args
     reports = _reports(system, scores)
-    cache: dict[tuple[float, ...], list[tuple[float, ...]]] = {}
-    out = []
+    position: dict[tuple[float, ...], int] = {}
+    distinct: list[list[tuple[float, ...]]] = []
+    index = []
     modules = tuple(sorted(system.modules))
     for config in configs:
         raw = smell_values(modules, system.smells, config)
         key = tuple(raw[m] for m in modules)
-        stats = cache.get(key)
-        if stats is None:
+        d = position.get(key)
+        if d is None:
             norm_smell = normalize(raw)
-            stats = _sweep_stats(reports, [norm_smell[m] for m in modules])
-            cache[key] = stats
-        out.append(stats)
+            d = position[key] = len(distinct)
+            distinct.append(_sweep_stats(reports, [norm_smell[m] for m in modules]))
+        index.append(d)
+    return distinct, index
+
+
+@dataclass(frozen=True)
+class _Best:
+    """One metric's curve over a stats list and where it peaks."""
+
+    curve: tuple[float, ...]
+    maximizers: tuple[float, ...]
+    value: float
+    stats: tuple[float, ...]  # pooled stats at the smallest maximizer
+
+
+def _best_by_metric(stats: list[tuple[float, ...]]) -> dict[str, _Best]:
+    out = {}
+    for metric in METRIC_NAMES:
+        curve = _curve(stats, metric)
+        maximizers, value = _best_alphas(curve)
+        out[metric] = _Best(
+            curve, maximizers, value, stats[ALPHA_GRID.index(min(maximizers))]
+        )
     return out
 
 
@@ -521,27 +559,26 @@ def config_search(
         per_system = [_system_task(task) for task in tasks]
 
     system_names = tuple(system.name for system, _ in systems)
+    # Per system, the best of every metric for each configuration, computed
+    # once per distinct stats list.
+    best: list[list[dict[str, _Best]]] = []
+    for distinct, index in per_system:
+        by_list = [_best_by_metric(stats) for stats in distinct]
+        best.append([by_list[d] for d in index])
+
     rows = []
     for ci, config in enumerate(configs):
         outcomes = {}
-        curves: dict[str, dict[str, tuple[float, ...]]] = {
-            name: {} for name in system_names
-        }
         for metric in METRIC_NAMES:
             chosen: dict[str, float] = {}
             maximizers: dict[str, tuple[float, ...]] = {}
             pooled = [0.0] * _N_STATS
             for si, name in enumerate(system_names):
-                stats = per_system[si][ci]
-                curve = _curve(stats, metric)
-                curves[name][metric] = curve
-                max_set, _ = _best_alphas(curve)
-                alpha = min(max_set)
-                chosen[name] = alpha
-                maximizers[name] = max_set
-                best_stats = stats[ALPHA_GRID.index(alpha)]
+                b = best[si][ci][metric]
+                chosen[name] = min(b.maximizers)
+                maximizers[name] = b.maximizers
                 for k in range(_N_STATS):
-                    pooled[k] += best_stats[k]
+                    pooled[k] += b.stats[k]
             outcomes[metric] = ConfigOutcome(
                 value=_metric_value(tuple(pooled), metric),
                 chosen_alpha=chosen,
@@ -555,7 +592,10 @@ def config_search(
                     1 for a in outcomes["map"].chosen_alpha.values() if a > 0
                 ),
                 original_index=is_original_index(config),
-                curves=curves,
+                curves={
+                    name: {m: b.curve for m, b in best[si][ci].items()}
+                    for si, name in enumerate(system_names)
+                },
             )
         )
 
@@ -565,18 +605,16 @@ def config_search(
         pooled = [0.0] * _N_STATS
         choice: dict[str, tuple[str, float]] = {}
         for si, name in enumerate(system_names):
-            best_value = None
-            best_pick = None
-            for ci, row in enumerate(rows):
-                max_set, value = _best_alphas(row.curves[name][metric])
-                if best_value is None or value > best_value:
-                    best_value = value
-                    best_pick = (ci, min(max_set))
-            ci, alpha = best_pick
-            choice[name] = (configs[ci].label(), alpha)
-            stats = per_system[si][ci][ALPHA_GRID.index(alpha)]
+            # The first configuration with the highest peak wins ties.
+            top = None
+            for ci, by_metric in enumerate(best[si]):
+                b = by_metric[metric]
+                if top is None or b.value > top[1].value:
+                    top = (ci, b)
+            ci, b = top
+            choice[name] = (configs[ci].label(), min(b.maximizers))
             for k in range(_N_STATS):
-                pooled[k] += stats[k]
+                pooled[k] += b.stats[k]
         ideal[metric] = _metric_value(tuple(pooled), metric)
         ideal_choice[metric] = choice
 

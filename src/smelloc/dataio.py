@@ -162,11 +162,14 @@ def load_bug_reports(path: str | Path) -> tuple[BugReport, ...]:
             # A bare string would otherwise be read as a set of characters.
             if not isinstance(gold, list) or not all(isinstance(g, str) for g in gold):
                 raise ValueError(f"gold must be a JSON array of strings, got {gold!r}")
+            summary = rec.get("summary", "")
+            description = rec.get("description", "")
+            # str() would turn null into the query word "None".
+            for field, value in (("summary", summary), ("description", description)):
+                if not isinstance(value, str):
+                    raise ValueError(f"{field} must be a string, got {value!r}")
             report = BugReport(
-                id=bug_id,
-                summary=str(rec.get("summary", "")),
-                description=str(rec.get("description", "")),
-                gold=frozenset(gold),
+                id=bug_id, summary=summary, description=description, gold=frozenset(gold)
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bug report #{pos}: {exc}") from exc

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import __version__
 
@@ -48,13 +49,91 @@ def build_manifest(
     }
 
 
+# JSON text of a string, with every non-ASCII character escaped as in
+# json.dumps(ensure_ascii=True).
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value) -> str:
+    """JSON text of a non-container value, as json.dumps(allow_nan=False)."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {value!r}"
+            )
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode(obj, level: int) -> Iterator[str]:
+    """Yield the text json.dump(obj, indent=2, allow_nan=False) writes for
+    obj nested level deep. Dictionary keys must be strings."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        pad = "\n" + "  " * (level + 1)
+        if set(map(type, obj)) == {float}:
+            # Curves are long float lists: one join instead of one string
+            # per number. A non-finite float is the only repr with an "n".
+            text = ("," + pad).join(map(float.__repr__, obj))
+            if "n" in text:
+                for value in obj:
+                    _scalar(value)
+            yield "[" + pad + text + "\n" + "  " * level + "]"
+            return
+        sep = "[" + pad
+        for value in obj:
+            if isinstance(value, (list, tuple, dict)):
+                yield sep
+                yield from _encode(value, level + 1)
+            else:
+                yield sep + _scalar(value)
+            sep = "," + pad
+        yield "\n" + "  " * level + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "{" + pad
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if isinstance(value, (list, tuple, dict)):
+                yield sep + _escape(key) + ": "
+                yield from _encode(value, level + 1)
+            else:
+                yield sep + _escape(key) + ": " + _scalar(value)
+            sep = "," + pad
+        yield "\n" + "  " * level + "}"
+    else:
+        yield _scalar(obj)
+
+
+def _write_json(obj, path: str | Path) -> None:
+    """Write obj as json.dump(obj, indent=2, allow_nan=False) would, plus a
+    final newline. The text goes out piece by piece, never as one string."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_encode(obj, 0))
+        fh.write("\n")
+
+
 def write_json_report(payload: dict, path: str | Path, manifest: dict) -> None:
     """Write a JSON report with the manifest embedded."""
     document = dict(payload)
     document["manifest"] = manifest
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(document, path)
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -63,6 +142,4 @@ def sidecar_path(path: str | Path) -> Path:
 
 def write_sidecar_manifest(path: str | Path, manifest: dict) -> None:
     """Write the manifest next to a CSV or JSON-lines report."""
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest, sidecar_path(path))

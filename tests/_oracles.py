@@ -5,9 +5,11 @@ under test: the stemmer is a procedural buffer-and-offsets port, the splitter
 is a character loop and, separately, a two-stage regex, cosine goes through
 dense numpy vectors, the rank metrics count positions exhaustively, Cliff's
 delta is the O(n*m) double loop, relative risk is direct set counting,
-the alpha sweep fully sorts the universe at every grid point, a smell
-value is aggregated one module at a time from the whole report, and score
-dumps go through one json.loads or json.dumps call per line.
+the alpha sweep fully sorts the universe at every grid point, the sweep's
+pooling compares the zipped per-report columns at every grid point, a smell
+value is aggregated one module at a time from the whole report, score
+dumps go through one json.loads or json.dumps call per line, and JSON
+reports go through json.dump.
 """
 
 from __future__ import annotations
@@ -17,10 +19,18 @@ import logging
 import re
 import string
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
-from smelloc.combine import ALPHA_GRID, _N_STATS, TechniqueScores, normalize
+from smelloc.combine import (
+    ALPHA_GRID,
+    _N_STATS,
+    TechniqueScores,
+    _ahead_counts,
+    _report_stats,
+    normalize,
+)
 from smelloc.metrics import ranking_stats
 from smelloc.smells import aggregate, select_instances
 
@@ -402,6 +412,36 @@ def sweep_stats_by_sorting(system, scores, norm_smell):
     return [tuple(row) for row in per_alpha]
 
 
+def sweep_stats_by_columns(reports, smell_vec):
+    """Per grid alpha: pooled outcome stats over the given bug reports.
+
+    Takes combine._Report inputs, as combine._sweep_stats does. Each
+    report's stats are spelled out at all 101 grid points, and the rows are
+    pooled wherever the zipped columns change. This was the package's
+    pooling before it summed only at the reports' change points.
+    """
+    columns = []  # per report, its stats at every grid alpha
+    for report in reports:
+        ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
+        if not ahead:
+            columns.append([_report_stats((), report.gold_count)] * len(ALPHA_GRID))
+            continue
+        column = []
+        for counts, run in groupby(zip(*ahead)):
+            stats = _report_stats(sorted(c + 1 for c in counts), report.gold_count)
+            column.extend([stats] * len(list(run)))
+        columns.append(column)
+    out = []
+    for key, run in groupby(zip(*columns) if columns else [()] * len(ALPHA_GRID)):
+        row = [0.0] * _N_STATS
+        for stats in key:
+            for k in range(5):
+                row[k] += stats[k]
+            row[5] += 1.0
+        out.extend([tuple(row)] * len(list(run)))
+    return out
+
+
 def smell_value(module, report, config) -> float:
     """Raw smell value of one module: filter the report, then aggregate."""
     mine = [inst for inst in report if inst.module == module]
@@ -452,3 +492,12 @@ def write_score_lines_by_json_dumps(path, rankings) -> None:
                     )
                 )
                 fh.write("\n")
+
+
+def write_json_report_by_json_dump(payload, path, manifest) -> None:
+    """Write a JSON report with the manifest embedded, through json.dump."""
+    document = dict(payload)
+    document["manifest"] = manifest
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, allow_nan=False)
+        fh.write("\n")

@@ -1080,6 +1080,38 @@ class TestStrictInputs:
             f"error: {smells}: smell instance #0: module must be a string, got {module!r}\n"
         )
 
+    @pytest.mark.parametrize("command", ["combine", "config-search"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'[["God Class"]]', ": selectors must be a JSON object\n"),
+            (b'{"s2": "God Class"}',
+             ": selector 's2' must be a JSON array of smell type names, got 'God Class'\n"),
+            (b'{"s2": ["God Class", 3]}',
+             ": selector 's2' must be a JSON array of smell type names, "
+             "got ['God Class', 3]\n"),
+            (b'{"s2": ["God Class"', ":1: malformed JSON: "),
+            (b'{"s2": ["God \xff Class"]}', ": selector 's2' names unknown smell types: "),
+        ],
+        ids=["array", "string-value", "non-string-type", "malformed", "not-utf8"],
+    )
+    def test_bad_selectors_file_exits_2(self, request, tmp_path, capsys, command, text,
+                                        message):
+        selectors = tmp_path / "selectors.json"
+        selectors.write_bytes(text)
+        if command == "combine":
+            fixture = request.getfixturevalue("hbase_fixture")
+            argv = ["combine", "--scores", str(fixture["scores"]), "--smells",
+                    str(fixture["smells"]), "--config", "g1,a1,s2", "--alpha", "0.5"]
+        else:
+            fixture = request.getfixturevalue("java_system")
+            argv = ["config-search", "--systems", str(fixture["descriptor"]),
+                    "--technique", "rvsm"]
+        rc = main(argv + ["--selectors", str(selectors), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {selectors}{message}")
+
     @pytest.mark.parametrize("severity", [True, 2.5])
     def test_non_integer_severity_exits_2(self, java_system, tmp_path, capsys, severity):
         smells = tmp_path / "smells.json"

@@ -41,6 +41,7 @@ from smelloc.smells import (
 from _oracles import (
     average_precision_exhaustive,
     first_gold_rank_exhaustive,
+    sweep_stats_by_columns,
     sweep_stats_by_sorting,
 )
 from conftest import random_system
@@ -440,7 +441,8 @@ class TestExactSweep:
         for trial in range(5):
             system, scores = random_system(rng, name=f"s{trial}", ensure_smells=True)
             modules = tuple(sorted(system.modules))
-            got = _system_task((system, scores, configs))
+            distinct, index = _system_task((system, scores, configs))
+            got = [distinct[d] for d in index]
             want = [
                 sweep_stats_by_sorting(
                     system, scores, normalize(smell_values(modules, system.smells, c))
@@ -456,6 +458,54 @@ class TestExactSweep:
         assert _hex(_exact_sweep(system, scores, norm_smell)) == _hex(
             sweep_stats_by_sorting(system, scores, norm_smell)
         )
+
+    def test_matches_column_pooling_oracle_on_random_systems(self):
+        rng = random.Random(4242)
+        configs = enumerate_configs(TRIVIAL_SELECTORS)
+        for trial in range(30):
+            system, scores = random_system(rng, name=f"s{trial}")
+            reports = _reports(system, scores)
+            modules = sorted(system.modules)
+            for config in rng.sample(configs, 5):
+                norm_smell = normalized_smell(system, config)
+                smell_vec = [norm_smell[m] for m in modules]
+                assert _hex(_sweep_stats(reports, smell_vec)) == _hex(
+                    sweep_stats_by_columns(reports, smell_vec)
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_adversarial_universe())
+    def test_matches_column_pooling_oracle_on_adversarial_universes(self, universe):
+        system, scores, norm_smell = universe
+        reports = _reports(system, scores)
+        smell_vec = [norm_smell[m] for m in sorted(system.modules)]
+        assert _hex(_sweep_stats(reports, smell_vec)) == _hex(
+            sweep_stats_by_columns(reports, smell_vec)
+        )
+
+    def test_pools_by_left_fold_in_report_order(self):
+        # Gold first at ranks 1, 3 and 1. Adding 1 + 1/3 + 1 from 0.0 rounds
+        # down; a compensated sum (math.fsum, or sum() on Python 3.12+)
+        # rounds up, so a rewrite to either changes the pooled floats.
+        modules = ["m0", "m1", "m2", "m3"]
+        ranks = (1, 3, 1)
+        system, scores = _system(
+            modules,
+            {f"r{j}": {modules[k - 1]} for j, k in enumerate(ranks)},
+            {
+                f"r{j}": {m: 1.0 - i / 4 for i, m in enumerate(modules)}
+                for j in range(len(ranks))
+            },
+        )
+        left = 0.0
+        for k in ranks:
+            left += 1.0 / k
+        assert left != math.fsum(1.0 / k for k in ranks)
+        stats = _exact_sweep(system, scores, {m: 0.0 for m in modules})
+        # One gold module per report: reciprocal rank and AP are both 1/k.
+        assert {(row[3].hex(), row[4].hex()) for row in stats} == {
+            (left.hex(), left.hex())
+        }
 
     def test_crossing_on_a_grid_point(self):
         # c_a - c_b = 1 - 2 * alpha: the two tie at alpha 0.5, where the id
@@ -671,3 +721,11 @@ class TestConfigSearch:
         assert row.outcomes["map"].chosen_alpha["sys"] == 0.0
         assert row.systems_improved == 0
         assert report.ideal_systems_improved == 0
+
+    def test_ideal_ties_go_to_the_first_configuration(self):
+        # Without smells every configuration has the same flat curves.
+        system = _system(["a", "b"], {"r1": {"a"}}, {"r1": {"a": 1.0, "b": 0.5}})
+        configs = enumerate_configs(TRIVIAL_SELECTORS)[:10]
+        report = config_search([system], configs)
+        for metric in METRIC_NAMES:
+            assert report.ideal_choice[metric] == {"sys": (configs[0].label(), 0.0)}

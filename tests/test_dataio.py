@@ -111,6 +111,27 @@ class TestBugReports:
             f"{path}: bug report #1: id must be a string, got {bug_id!r}"
         )
 
+    @pytest.mark.parametrize("field", ["summary", "description"])
+    @pytest.mark.parametrize("value", [None, 7, ["x"], {"text": "x"}])
+    def test_text_fields_must_be_strings(self, tmp_path, field, value):
+        path = tmp_path / "bugs.json"
+        path.write_text(
+            json.dumps([{"id": "B-1", "gold": ["a"]}, {"id": "B-2", field: value,
+                                                       "gold": ["b"]}]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            load_bug_reports(path)
+        assert str(info.value) == (
+            f"{path}: bug report #1: {field} must be a string, got {value!r}"
+        )
+
+    def test_absent_text_fields_load_empty(self, tmp_path):
+        path = tmp_path / "bugs.json"
+        path.write_text(json.dumps([{"id": "B-1", "gold": ["a"]}]), encoding="utf-8")
+        (report,) = load_bug_reports(path)
+        assert (report.summary, report.description) == ("", "")
+
     def test_empty_id_rejected(self, tmp_path):
         path = tmp_path / "bugs.json"
         path.write_text(json.dumps([{"id": "", "gold": ["a"]}]), encoding="utf-8")
