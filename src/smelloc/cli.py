@@ -23,19 +23,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import dataio, manifest
-from .corpus import build_corpus, build_query, source_files
-from .index import (
-    ScoredRanking,
-    build_index,
-    corpus_hash,
-    cosine_score,
-    load_index,
-    rank,
-    rvsm_score,
-    save_index,
-)
+from .corpus import build_corpus, source_files
+from .index import TermIndex, build_index, corpus_hash, load_index, rank, save_index
 from .smells import ALL_TYPE_NAMES, smell_values
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords
+from .stopwords import DEFAULT_STOPWORDS, load_stopwords, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -86,29 +77,6 @@ def _require_file(path: str, what: str) -> Path:
     if not p.is_file():
         raise UsageError(f"{what} file not found: {path}")
     return p
-
-
-def _seedless_check() -> None:
-    """Verify no module of this package binds a random generator.
-
-    Commands import only what they run, so every submodule is imported
-    first; otherwise the scan would miss the ones this command never loads.
-    """
-    import importlib
-    import pkgutil
-
-    package = sys.modules[__package__]
-    for info in pkgutil.iter_modules(package.__path__):
-        importlib.import_module(f"{__package__}.{info.name}")
-    offenders = [
-        name
-        for name, mod in sys.modules.items()
-        if name.split(".")[0] == "smelloc"
-        and any(key in vars(mod) for key in ("random", "Random", "seed"))
-    ]
-    if offenders:
-        raise RuntimeError(f"random number use detected in: {offenders}")
-    print("seedless check passed: no random number generator linked in")
 
 
 def _load_selectors(path: str | None) -> dict[str, frozenset[str]]:
@@ -173,8 +141,8 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _native_rankings(args, reports, technique: str) -> list[ScoredRanking]:
-    stopwords = _stopwords(args)
+def _term_index(args, stopwords: frozenset[str]) -> TermIndex:
+    """The index of ``--snapshot``, or the ``--index`` cache checked against it."""
     if not (args.index or args.snapshot):
         raise UsageError("native techniques need --snapshot or --index")
     corpus = None
@@ -189,18 +157,11 @@ def _native_rankings(args, reports, technique: str) -> list[ScoredRanking]:
     if args.index:
         # With a snapshot too, the cache must match its tokens under the
         # current stopwords; without one there is nothing to check against.
-        term_index = load_index(
+        return load_index(
             _require_file(args.index, "index cache"),
             corpus_hash(corpus) if corpus else None,
         )
-    else:
-        term_index = build_index(corpus)
-    scorer = cosine_score if technique == "vsm" else rvsm_score
-    rankings = []
-    for report in reports:
-        query = build_query(report, stopwords)
-        rankings.append(rank(scorer(query, term_index), report.id, technique))
-    return rankings
+    return build_index(corpus)
 
 
 def cmd_rank(args) -> int:
@@ -211,7 +172,13 @@ def cmd_rank(args) -> int:
         if not reports:
             raise UsageError(f"bug id {args.bug!r} not found in {args.bugs}")
     if technique in dataio.NATIVE_TECHNIQUES:
-        rankings = _native_rankings(args, reports, technique)
+        stopwords = _stopwords(args)
+        rankings = [
+            rank(scores, bug_id, technique)
+            for bug_id, scores in dataio.native_scores(
+                _term_index(args, stopwords), reports, technique, stopwords
+            )
+        ]
         inputs = {"bugs": args.bugs}
     elif technique.startswith("external:"):
         name = technique.split(":", 1)[1]
@@ -451,8 +418,8 @@ def cmd_risk(args) -> int:
     if not smells:
         raise UsageError(f"smell report {args.smells} contains no instances")
     if args.modules:
-        with open(_require_file(args.modules, "modules"), encoding="utf-8") as fh:
-            universe = {line.strip() for line in fh if line.strip()}
+        lines = read_utf8(_require_file(args.modules, "modules")).splitlines()
+        universe = {line.strip() for line in lines if line.strip()}
         universe_input = args.modules
     elif args.snapshot:
         snapshot = _require_dir(args.snapshot, "snapshot")
@@ -514,61 +481,22 @@ def cmd_risk(args) -> int:
     return 0
 
 
-def _pooled_risk_selectors(
-    systems: Sequence[dataio.PreparedSystem],
-) -> dict[str, frozenset[str]]:
-    """Derive selector sets from the pooled risk table of all systems.
-
-    Modules are namespaced by system so identical paths in different
-    systems stay distinct. Gold or smelly modules missing from a system's
-    snapshot-side universe are kept by namespacing over the union of
-    sources, so nothing is silently dropped here.
-    """
-    from . import risk
-
-    universe: set[str] = set()
-    buggy: set[str] = set()
-    instances = []
-    for system in systems:
-        modules = set()
-        for tech in system.techniques.values():
-            modules |= set(tech.modules)
-        for report in system.reports:
-            modules |= report.gold
-        modules |= {i.module for i in system.smells}
-        universe |= {f"{system.name}::{m}" for m in modules}
-        for report in system.reports:
-            buggy |= {f"{system.name}::{m}" for m in report.gold}
-        for inst in system.smells:
-            instances.append(
-                type(inst)(
-                    type=inst.type,
-                    module=f"{system.name}::{inst.module}",
-                    severity=inst.severity,
-                    method_signature=inst.method_signature,
-                )
-            )
-    table = risk.relative_risk(universe, buggy, instances)
-    return risk.derive_selectors(table)
-
-
 def cmd_config_search(args) -> int:
-    from . import combine
+    from . import combine, risk
 
-    technique = args.technique
-    snapshots = []
+    pairs = []
     for desc_path in args.systems:
         descriptor = dataio.load_descriptor(_require_file(desc_path, "descriptor"))
-        snapshots.append(dataio.load_system(descriptor, jobs=_jobs(args)))
-    prepared = [dataio.prepare_system(s, [technique]) for s in snapshots]
-    kept, validation = dataio.filter_dataset(prepared, [technique])
+        snapshot = dataio.load_system(descriptor, jobs=_jobs(args))
+        pairs.append(dataio.prepare_system(snapshot, args.technique))
+    kept, validation = dataio.filter_dataset(pairs)
     for line in validation.to_text().splitlines():
         logger.info("%s", line)
 
     selectors = (
         _load_selectors(args.selectors)
         if args.selectors
-        else _pooled_risk_selectors(kept)
+        else risk.pooled_selectors(system for system, _ in kept)
     )
     missing = [s for s in ("s1", "s2", "s3", "s4", "s5") if s not in selectors]
     if missing:
@@ -582,8 +510,7 @@ def cmd_config_search(args) -> int:
     configs = combine.enumerate_configs(
         selectors, include_single_type=args.include_single_type
     )
-    pairs = [dataio.to_combine_inputs(system, technique) for system in kept]
-    report = combine.config_search(pairs, configs, jobs=_jobs(args))
+    report = combine.config_search(kept, configs, jobs=_jobs(args))
 
     inputs = {
         f"descriptor{i}": path for i, path in enumerate(args.systems)
@@ -718,11 +645,6 @@ def _common_flags() -> argparse.ArgumentParser:
         default=None,
         help="JSON file of default flag values; explicit flags win",
     )
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="self-check that no random number generator is linked in",
-    )
     common.add_argument("--verbose", action="store_true", help="log at INFO level")
     return common
 
@@ -824,11 +746,10 @@ def _run_config_defaults(
     or false; any other flag takes one string or number, read as if typed
     after the flag.
     """
-    with open(_require_file(path, "run config"), encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    try:
+        cfg = json.loads(read_utf8(_require_file(path, "run config")))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: run config must be a JSON object")
     actions = _flag_dests(command)
@@ -887,8 +808,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        if args.seedless:
-            _seedless_check()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Loading, validation, and filtering of localization datasets.
 
 A system is one project version: a source snapshot, its bug reports with
-gold sets, a smell report, and optional external technique scores. Filtering
-applies the selection protocol in a fixed order: first bug reports whose
-ranking is unusable under any requested technique, then systems without any
-smell instance, then systems left with fewer than five reports. Every
-exclusion is recorded with exactly one reason.
+gold sets, a smell report, and optional external technique scores. Loaded,
+it is a SystemSnapshot; scored by one technique, it is the pair
+(combine.System, combine.TechniqueScores) that filtering and the
+configuration search take. Filtering applies the selection protocol in a
+fixed order: first bug reports whose ranking is unusable under the
+technique, then systems without any smell instance, then systems left with
+fewer than five reports. Every exclusion is recorded with exactly one reason.
 """
 
 from __future__ import annotations
@@ -13,17 +15,20 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import TokenDocument, build_corpus, build_query
-from .index import ScoredRanking, build_index, cosine_score, rvsm_score
+from .index import ScoredRanking, TermIndex, build_index, cosine_score, rvsm_score
 from .smells import SMELL_TYPE_BY_NAME, SmellInstance
-from .stopwords import DEFAULT_STOPWORDS
+from .stopwords import DEFAULT_STOPWORDS, read_utf8
 
 if TYPE_CHECKING:
     from . import combine
+
+    # One system scored by one technique: what filtering and the search take.
+    ScoredSystem = tuple[combine.System, combine.TechniqueScores]
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +75,7 @@ class SystemDescriptor:
 
 @dataclass(frozen=True)
 class SystemSnapshot:
-    """One system loaded into memory."""
+    """One system loaded into memory, before any technique scores it."""
 
     name: str
     modules: tuple[str, ...]
@@ -79,21 +84,6 @@ class SystemSnapshot:
     smells: tuple[SmellInstance, ...]
     external_scores: dict[str, combine.TechniqueScores]
     stopwords: frozenset[str]
-
-
-@dataclass(frozen=True)
-class PreparedTechnique:
-    technique: str
-    modules: tuple[str, ...]  # ranked universe for this technique
-    by_bug: dict[str, dict[str, float]]  # aligned to the universe
-
-
-@dataclass(frozen=True)
-class PreparedSystem:
-    name: str
-    reports: tuple[BugReport, ...]
-    smells: tuple[SmellInstance, ...]
-    techniques: dict[str, PreparedTechnique]
 
 
 @dataclass(frozen=True)
@@ -310,11 +300,10 @@ _DESCRIPTOR_FIELDS = ("project", "version", "snapshot", "bugs", "smells")
 def load_descriptor(path: str | Path) -> SystemDescriptor:
     """Read a system descriptor JSON file; relative paths resolve against it."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _json_error(path, exc) from exc
+    try:
+        rec = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise _json_error(path, exc) from exc
     if not isinstance(rec, dict):
         raise ValueError(f"{path}: expected a JSON object")
     try:
@@ -394,67 +383,73 @@ def load_system(
     )
 
 
-def prepare_system(
-    snapshot: SystemSnapshot, techniques: Sequence[str]
-) -> PreparedSystem:
-    """Compute or align per-technique score maps over their ranked universes.
+def native_scores(
+    term_index: TermIndex,
+    reports: Iterable[BugReport],
+    technique: str,
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+) -> Iterator[tuple[str, dict[str, float]]]:
+    """Score every indexed module for each report, one report at a time.
+
+    Yields (bug id, score map) pairs: vsm is plain cosine similarity, rvsm
+    scales it by document length. Lazy, so a caller that ranks and drops
+    each map holds one at a time.
+    """
+    scorer = cosine_score if technique == "vsm" else rvsm_score
+    for report in reports:
+        yield report.id, scorer(build_query(report, stopwords), term_index)
+
+
+def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
+    """Score one system under one technique, over that technique's universe.
 
     Native techniques rank exactly the snapshot modules. External score
     files may mention extra modules; those stay in that technique's universe,
     and universe modules the file skips score 0 (they rank at the bottom).
     """
-    prepared: dict[str, PreparedTechnique] = {}
-    term_index = None
-    for technique in techniques:
-        if technique in NATIVE_TECHNIQUES:
-            if term_index is None:
-                term_index = build_index(list(snapshot.corpus))
-            scorer = cosine_score if technique == "vsm" else rvsm_score
-            by_bug = {}
-            for report in snapshot.reports:
-                query = build_query(report, snapshot.stopwords)
-                by_bug[report.id] = scorer(query, term_index)
-            prepared[technique] = PreparedTechnique(
-                technique=technique, modules=snapshot.modules, by_bug=by_bug
+    from . import combine
+
+    if technique in NATIVE_TECHNIQUES:
+        universe = snapshot.modules
+        term_index = build_index(snapshot.corpus)
+        by_bug = dict(
+            native_scores(term_index, snapshot.reports, technique, snapshot.stopwords)
+        )
+    elif technique in snapshot.external_scores:
+        raw = snapshot.external_scores[technique]
+        extra = {
+            m for scores in raw.by_bug.values() for m in scores
+        } - set(snapshot.modules)
+        if extra:
+            logger.warning(
+                "system %s technique %s: %d modules outside the snapshot kept",
+                snapshot.name,
+                technique,
+                len(extra),
             )
-        elif technique in snapshot.external_scores:
-            raw = snapshot.external_scores[technique]
-            extra = {
-                m for scores in raw.by_bug.values() for m in scores
-            } - set(snapshot.modules)
-            if extra:
-                logger.warning(
-                    "system %s technique %s: %d modules outside the snapshot kept",
-                    snapshot.name,
-                    technique,
-                    len(extra),
-                )
-            universe = tuple(sorted(set(snapshot.modules) | extra))
-            by_bug = {}
-            filled = 0
-            for bug, scores in raw.by_bug.items():
-                filled += len(universe) - len(scores)
-                by_bug[bug] = {m: scores.get(m, 0.0) for m in universe}
-            if filled:
-                logger.warning(
-                    "system %s technique %s: %d missing module scores filled with 0",
-                    snapshot.name,
-                    technique,
-                    filled,
-                )
-            prepared[technique] = PreparedTechnique(
-                technique=technique, modules=universe, by_bug=by_bug
+        universe = tuple(sorted(set(snapshot.modules) | extra))
+        by_bug = {}
+        filled = 0
+        for bug, scores in raw.by_bug.items():
+            filled += len(universe) - len(scores)
+            by_bug[bug] = {m: scores.get(m, 0.0) for m in universe}
+        if filled:
+            logger.warning(
+                "system %s technique %s: %d missing module scores filled with 0",
+                snapshot.name,
+                technique,
+                filled,
             )
-        else:
-            raise ValueError(
-                f"system {snapshot.name}: unknown technique {technique!r}"
-            )
-    return PreparedSystem(
+    else:
+        raise ValueError(f"system {snapshot.name}: unknown technique {technique!r}")
+    system = combine.System(
         name=snapshot.name,
-        reports=snapshot.reports,
+        modules=universe,
+        bug_ids=tuple(r.id for r in snapshot.reports),
+        gold={r.id: r.gold for r in snapshot.reports},
         smells=snapshot.smells,
-        techniques=prepared,
     )
+    return system, combine.TechniqueScores(technique=technique, by_bug=by_bug)
 
 
 def validate_ranking(
@@ -475,32 +470,27 @@ def validate_ranking(
 
 
 def filter_dataset(
-    systems: Sequence[PreparedSystem], techniques: Sequence[str]
-) -> tuple[list[PreparedSystem], ValidationReport]:
+    systems: Sequence[ScoredSystem],
+) -> tuple[list[ScoredSystem], ValidationReport]:
     """Apply the selection protocol and record every exclusion.
 
-    A report is dropped if any requested technique's ranking for it is
-    invalid. Afterwards, systems without smells are dropped, then systems
-    with fewer than five surviving reports. Raises when nothing survives.
+    A report is dropped if the technique's ranking for it is invalid; each
+    kept system's bug_ids are narrowed to the surviving reports. Afterwards,
+    systems without smells are dropped, then systems with fewer than five
+    surviving reports. Raises when nothing survives.
     """
     excluded_reports: list[ExcludedReport] = []
     excluded_systems: list[ExcludedSystem] = []
-    kept_systems: list[PreparedSystem] = []
-    for system in systems:
+    kept_systems = []
+    for system, scores in systems:
         surviving = []
-        for report in system.reports:
-            reason = None
-            for technique in techniques:
-                tech = system.techniques.get(technique)
-                scores = None if tech is None else tech.by_bug.get(report.id)
-                reason = validate_ranking(scores, report.gold)
-                if reason is not None:
-                    break
+        for bug_id in system.bug_ids:
+            reason = validate_ranking(scores.by_bug.get(bug_id), system.gold[bug_id])
             if reason is None:
-                surviving.append(report)
+                surviving.append(bug_id)
             else:
                 excluded_reports.append(
-                    ExcludedReport(system=system.name, bug_id=report.id, reason=reason)
+                    ExcludedReport(system=system.name, bug_id=bug_id, reason=reason)
                 )
         if not system.smells:
             excluded_systems.append(
@@ -512,38 +502,10 @@ def filter_dataset(
                 ExcludedSystem(system=system.name, reason=REASON_TOO_FEW)
             )
             continue
-        kept_systems.append(
-            PreparedSystem(
-                name=system.name,
-                reports=tuple(surviving),
-                smells=system.smells,
-                techniques=system.techniques,
-            )
-        )
+        kept_systems.append((replace(system, bug_ids=tuple(surviving)), scores))
     if not kept_systems:
         raise ValueError("dataset empty after filtering")
     return kept_systems, ValidationReport(
         excluded_reports=tuple(excluded_reports),
         excluded_systems=tuple(excluded_systems),
-    )
-
-
-def to_combine_inputs(
-    system: PreparedSystem, technique: str
-) -> tuple[combine.System, combine.TechniqueScores]:
-    """Adapt one prepared system to the blending machinery's input types."""
-    tech = system.techniques.get(technique)
-    if tech is None:
-        raise ValueError(f"system {system.name}: technique {technique!r} not prepared")
-    from . import combine
-
-    return (
-        combine.System(
-            name=system.name,
-            modules=tech.modules,
-            bug_ids=tuple(r.id for r in system.reports),
-            gold={r.id: r.gold for r in system.reports},
-            smells=system.smells,
-        ),
-        combine.TechniqueScores(technique=technique, by_bug=tech.by_bug),
     )

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import TokenDocument
+from .stopwords import read_utf8
 
 _CACHE_FORMAT = "smelloc-index"
 _CACHE_VERSION = 1
@@ -210,20 +211,35 @@ def load_index(path: str | Path, corpus_digest: str | None = None) -> TermIndex:
     """Read an index cache; raises ValueError if stale or unrecognized.
 
     Passing the current corpus hash enforces that the cache still matches.
+    Every error message starts with the path.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _CACHE_FORMAT or payload.get("version") != _CACHE_VERSION:
-        raise ValueError(f"unrecognized index cache {path}")
-    if corpus_digest is not None and payload["corpus_hash"] != corpus_digest:
+    try:
+        payload = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    unrecognized = f"{path}: unrecognized index cache"
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != _CACHE_FORMAT
+        or payload.get("version") != _CACHE_VERSION
+    ):
+        raise ValueError(unrecognized)
+    try:
+        built_from = payload["corpus_hash"]
+        doc_vectors = {
+            doc_id: {int(tid): float(w) for tid, w in vec.items()}
+            for doc_id, vec in payload["doc_vectors"].items()
+        }
+        vocabulary = dict(payload["vocabulary"])
+        doc_freq = tuple(payload["doc_freq"])
+        doc_lengths = {k: int(v) for k, v in payload["doc_lengths"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(unrecognized) from exc
+    if corpus_digest is not None and built_from != corpus_digest:
         raise ValueError(
             f"stale index cache {path}: built from other files or other "
             "tokenizer settings than the current corpus"
         )
-    doc_vectors = {
-        doc_id: {int(tid): float(w) for tid, w in vec.items()}
-        for doc_id, vec in payload["doc_vectors"].items()
-    }
     doc_norms = {
         doc_id: math.sqrt(math.fsum(w * w for w in vec.values()))
         for doc_id, vec in doc_vectors.items()
@@ -233,10 +249,10 @@ def load_index(path: str | Path, corpus_digest: str | None = None) -> TermIndex:
         for tid, weight in vec.items():
             posting_lists.setdefault(tid, []).append((doc_id, weight))
     return TermIndex(
-        vocabulary=dict(payload["vocabulary"]),
-        doc_freq=tuple(payload["doc_freq"]),
+        vocabulary=vocabulary,
+        doc_freq=doc_freq,
         doc_vectors=doc_vectors,
-        doc_lengths={k: int(v) for k, v in payload["doc_lengths"].items()},
+        doc_lengths=doc_lengths,
         doc_norms=doc_norms,
         postings={tid: tuple(v) for tid, v in posting_lists.items()},
     )

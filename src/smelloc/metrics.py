@@ -27,7 +27,6 @@ class RankingOutcome:
     """Everything the metrics need to know about one evaluated ranking."""
 
     bug_id: str
-    ordered_modules: tuple[Hashable, ...]
     gold_set: frozenset
     rank_of_first_gold: int | None
     average_precision: float
@@ -75,7 +74,6 @@ def evaluate_ranking(
     rank, ap = ranking_stats(ordered, gold)
     return RankingOutcome(
         bug_id=bug_id,
-        ordered_modules=tuple(ordered),
         gold_set=gold,
         rank_of_first_gold=rank,
         average_precision=ap,
@@ -98,13 +96,6 @@ def top_count(outcomes: Sequence[RankingOutcome], n: int) -> int:
         for o in outcomes
         if o.rank_of_first_gold is not None and o.rank_of_first_gold <= n
     )
-
-
-def top_n(outcomes: Sequence[RankingOutcome], n: int) -> float:
-    """Share of reports with a gold module in the top n."""
-    if not outcomes:
-        raise ValueError("no bug reports")
-    return top_count(outcomes, n) / len(outcomes)
 
 
 def mean_reciprocal_rank(outcomes: Sequence[RankingOutcome]) -> float:

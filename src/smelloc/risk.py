@@ -17,11 +17,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .smells import ALL_TYPE_NAMES, SmellInstance
+
+if TYPE_CHECKING:
+    from .combine import System
 
 logger = logging.getLogger(__name__)
 
@@ -178,6 +181,29 @@ def derive_selectors(table: RiskTable) -> dict[str, frozenset[str]]:
         "s4": frozenset(s4),
         "s5": frozenset(s5),
     }
+
+
+def pooled_selectors(systems: Iterable[System]) -> dict[str, frozenset[str]]:
+    """Derive selector sets from the pooled risk table of all systems.
+
+    Modules are namespaced by system so identical paths in different
+    systems stay distinct. Each system contributes its ranked universe plus
+    the gold modules of its bug reports and its smelly modules, so gold or
+    smelly modules the universe lacks are kept, not dropped.
+    """
+    universe: set[str] = set()
+    buggy: set[str] = set()
+    instances = []
+    for system in systems:
+        gold = set().union(*(system.gold[b] for b in system.bug_ids))
+        modules = set(system.modules) | gold | {i.module for i in system.smells}
+        universe |= {f"{system.name}::{m}" for m in modules}
+        buggy |= {f"{system.name}::{m}" for m in gold}
+        instances.extend(
+            replace(inst, module=f"{system.name}::{inst.module}")
+            for inst in system.smells
+        )
+    return derive_selectors(relative_risk(universe, buggy, instances))
 
 
 def _fmt_pct(value: float | None) -> str:

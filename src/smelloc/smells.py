@@ -169,12 +169,6 @@ def _aggregator(aggregator: str) -> Callable[[Sequence[SmellInstance]], float]:
     )
 
 
-def aggregate(instances: Sequence[SmellInstance], aggregator: str) -> float:
-    """Collapse a module's selected instances to one number; empty -> 0."""
-    value = _aggregator(aggregator)
-    return value(instances) if instances else 0.0
-
-
 def smell_values(
     modules: Iterable[str],
     report: Iterable[SmellInstance],

@@ -1,4 +1,5 @@
-"""Default stopword sets and a loader for user-supplied lists.
+"""Default stopword sets, a loader for user-supplied lists, and the strict
+UTF-8 reader that every user-supplied text file goes through.
 
 The default set is a standard English stopword list combined with the Java
 reserved words, since Java source is the default corpus language and its
@@ -48,15 +49,21 @@ true false null
 DEFAULT_STOPWORDS = ENGLISH_STOPWORDS | JAVA_KEYWORDS
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a bad byte raises a ValueError naming the
+    file and line, instead of being replaced and silently misread."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not valid UTF-8: {exc.reason}") from None
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list, one term per line; blank lines are skipped.
 
     Entries are lowercased so the set meets the normalizer's contract.
     """
-    terms = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.strip().lower()
-            if term:
-                terms.add(term)
-    return frozenset(terms)
+    terms = (line.strip().lower() for line in read_utf8(path).splitlines())
+    return frozenset(term for term in terms if term)

@@ -32,7 +32,7 @@ from smelloc.combine import (
     normalize,
 )
 from smelloc.metrics import ranking_stats
-from smelloc.smells import aggregate, select_instances
+from smelloc.smells import _aggregator, select_instances
 
 # The score-dump oracles warn under the loader's own logger name.
 logger = logging.getLogger("smelloc.dataio")
@@ -440,6 +440,12 @@ def sweep_stats_by_columns(reports, smell_vec):
             row[5] += 1.0
         out.extend([tuple(row)] * len(list(run)))
     return out
+
+
+def aggregate(instances, aggregator: str) -> float:
+    """Collapse a module's selected instances to one number; empty -> 0."""
+    value = _aggregator(aggregator)
+    return value(instances) if instances else 0.0
 
 
 def smell_value(module, report, config) -> float:

@@ -16,8 +16,6 @@ from smelloc.dataio import (
     REASON_NO_SMELLS,
     REASON_TOO_FEW,
     BugReport,
-    PreparedSystem,
-    PreparedTechnique,
     filter_dataset,
     load_bug_reports,
     load_descriptor,
@@ -25,7 +23,6 @@ from smelloc.dataio import (
     load_smell_report,
     load_system,
     prepare_system,
-    to_combine_inputs,
     validate_ranking,
     write_score_lines,
 )
@@ -552,19 +549,40 @@ class TestDescriptorAndSystem:
 class TestPrepareSystem:
     def test_native_techniques_share_the_snapshot_universe(self, java_system):
         snapshot = load_system(load_descriptor(java_system["descriptor"]))
-        prepared = prepare_system(snapshot, ["vsm", "rvsm"])
-        assert set(prepared.techniques) == {"vsm", "rvsm"}
-        for tech in prepared.techniques.values():
-            assert tech.modules == snapshot.modules
-            assert set(tech.by_bug) == {r.id for r in snapshot.reports}
-            for scores in tech.by_bug.values():
-                assert set(scores) == set(snapshot.modules)
+        for technique in ("vsm", "rvsm"):
+            system, scores = prepare_system(snapshot, technique)
+            assert system.modules == snapshot.modules
+            assert scores.technique == technique
+            assert set(scores.by_bug) == {r.id for r in snapshot.reports}
+            for per_bug in scores.by_bug.values():
+                assert set(per_bug) == set(snapshot.modules)
+
+    def test_returns_combine_inputs(self, java_system):
+        snapshot = load_system(load_descriptor(java_system["descriptor"]))
+        system, scores = prepare_system(snapshot, "vsm")
+        assert isinstance(system, combine.System)
+        assert isinstance(scores, combine.TechniqueScores)
+        assert system.name == snapshot.name
+        assert system.bug_ids == tuple(r.id for r in snapshot.reports)
+        assert system.gold == {r.id: r.gold for r in snapshot.reports}
+        assert system.smells == snapshot.smells
 
     def test_query_terms_rank_their_module_first(self, java_system):
         snapshot = load_system(load_descriptor(java_system["descriptor"]))
-        prepared = prepare_system(snapshot, ["vsm"])
-        scores = prepared.techniques["vsm"].by_bug["B-1"]
-        assert max(scores, key=scores.get) == "com/app/StoreManager.java"
+        _, scores = prepare_system(snapshot, "vsm")
+        per_bug = scores.by_bug["B-1"]
+        assert max(per_bug, key=per_bug.get) == "com/app/StoreManager.java"
+
+    def test_native_scores_are_what_rank_writes(self, java_system, tmp_path):
+        snapshot = load_system(load_descriptor(java_system["descriptor"]))
+        _, scores = prepare_system(snapshot, "rvsm")
+        out = tmp_path / "r.jsonl"
+        assert main(["rank", "--technique", "rvsm", "--bugs", str(java_system["bugs"]),
+                     "--snapshot", str(java_system["src"]), "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            for line in fh:
+                rec = json.loads(line)
+                assert scores.by_bug[rec["bug"]][rec["module"]] == rec["score"]
 
     def test_external_universe_extends_the_snapshot(self, java_system, caplog):
         ext = java_system["root"] / "ext.jsonl"
@@ -588,20 +606,19 @@ class TestPrepareSystem:
         )
         snapshot = load_system(load_descriptor(descriptor_path))
         with caplog.at_level(logging.WARNING, logger="smelloc.dataio"):
-            prepared = prepare_system(snapshot, ["ext"])
-        tech = prepared.techniques["ext"]
-        assert "vendor/Lib.java" in tech.modules
-        assert len(tech.modules) == len(snapshot.modules) + 1
+            system, scores = prepare_system(snapshot, "ext")
+        assert "vendor/Lib.java" in system.modules
+        assert len(system.modules) == len(snapshot.modules) + 1
         # Universe modules the file skipped score 0.
-        assert tech.by_bug["B-1"]["com/app/LogWriter.java"] == 0.0
-        assert tech.by_bug["B-1"]["vendor/Lib.java"] == 0.9
+        assert scores.by_bug["B-1"]["com/app/LogWriter.java"] == 0.0
+        assert scores.by_bug["B-1"]["vendor/Lib.java"] == 0.9
         assert any("outside the snapshot" in r.message for r in caplog.records)
         assert any("filled with 0" in r.message for r in caplog.records)
 
     def test_unknown_technique(self, java_system):
         snapshot = load_system(load_descriptor(java_system["descriptor"]))
         with pytest.raises(ValueError, match="unknown technique 'whatever'"):
-            prepare_system(snapshot, ["whatever"])
+            prepare_system(snapshot, "whatever")
 
 
 class TestValidateRanking:
@@ -640,23 +657,23 @@ def _prepared(name, reports, smells=True, nan_bugs=(), miss_gold=()):
         if smells
         else ()
     )
-    return PreparedSystem(
-        name=name,
-        reports=bug_reports,
-        smells=smell_list,
-        techniques={
-            "t": PreparedTechnique(
-                technique="t", modules=("a", "b", "c"), by_bug=by_bug
-            )
-        },
+    return (
+        combine.System(
+            name=name,
+            modules=("a", "b", "c"),
+            bug_ids=tuple(r.id for r in bug_reports),
+            gold={r.id: r.gold for r in bug_reports},
+            smells=smell_list,
+        ),
+        combine.TechniqueScores(technique="t", by_bug=by_bug),
     )
 
 
 class TestFilterDataset:
     def test_passes_clean_systems_through(self):
         systems = [_prepared("s1", 6), _prepared("s2", 5)]
-        kept, report = filter_dataset(systems, ["t"])
-        assert [s.name for s in kept] == ["s1", "s2"]
+        kept, report = filter_dataset(systems)
+        assert [s.name for s, _ in kept] == ["s1", "s2"]
         assert report.excluded_reports == ()
         assert report.excluded_systems == ()
         assert report.to_text() == "nothing excluded"
@@ -670,38 +687,30 @@ class TestFilterDataset:
                 miss_gold={"s1-b1"},
             )
         ]
-        kept, report = filter_dataset(systems, ["t"])
+        kept, report = filter_dataset(systems)
         assert len(kept) == 1
-        assert len(kept[0].reports) == 5
+        system, _ = kept[0]
+        assert system.bug_ids == ("s1-b2", "s1-b3", "s1-b4", "s1-b5", "s1-b6")
         reasons = {e.bug_id: e.reason for e in report.excluded_reports}
         assert reasons == {"s1-b0": REASON_NAN, "s1-b1": REASON_NO_GOLD}
 
     def test_missing_technique_excludes_report(self):
-        system = _prepared("s1", 6)
-        kept_map = dict(system.techniques["t"].by_bug)
+        system, scores = _prepared("s1", 6)
+        kept_map = dict(scores.by_bug)
         del kept_map["s1-b0"]
-        system = PreparedSystem(
-            name="s1",
-            reports=system.reports,
-            smells=system.smells,
-            techniques={
-                "t": PreparedTechnique(
-                    technique="t", modules=("a", "b", "c"), by_bug=kept_map
-                )
-            },
-        )
-        kept, report = filter_dataset([system, _prepared("s2", 5)], ["t"])
+        scores = combine.TechniqueScores(technique="t", by_bug=kept_map)
+        kept, report = filter_dataset([(system, scores), _prepared("s2", 5)])
         assert report.excluded_reports == (
             type(report.excluded_reports[0])(
                 system="s1", bug_id="s1-b0", reason=REASON_MISSING
             ),
         )
-        assert [s.name for s in kept] == ["s1", "s2"]
+        assert [s.name for s, _ in kept] == ["s1", "s2"]
 
     def test_smell_free_system_dropped(self):
         systems = [_prepared("s1", 6, smells=False), _prepared("s2", 6)]
-        kept, report = filter_dataset(systems, ["t"])
-        assert [s.name for s in kept] == ["s2"]
+        kept, report = filter_dataset(systems)
+        assert [s.name for s, _ in kept] == ["s2"]
         assert report.excluded_systems[0].reason == REASON_NO_SMELLS
 
     def test_too_few_reports_dropped_after_report_filter(self):
@@ -710,16 +719,16 @@ class TestFilterDataset:
             _prepared("s1", 6, nan_bugs={"s1-b0", "s1-b1"}),
             _prepared("s2", 5),
         ]
-        kept, report = filter_dataset(systems, ["t"])
-        assert [s.name for s in kept] == ["s2"]
+        kept, report = filter_dataset(systems)
+        assert [s.name for s, _ in kept] == ["s2"]
         assert report.excluded_systems == (
             type(report.excluded_systems[0])(system="s1", reason=REASON_TOO_FEW),
         )
         assert len(report.excluded_reports) == 2
 
     def test_exactly_five_reports_survive(self):
-        kept, _ = filter_dataset([_prepared("s1", 5)], ["t"])
-        assert len(kept[0].reports) == 5
+        kept, _ = filter_dataset([_prepared("s1", 5)])
+        assert len(kept[0][0].bug_ids) == 5
 
     def test_idempotent(self):
         systems = [
@@ -727,19 +736,19 @@ class TestFilterDataset:
             _prepared("s2", 4),
             _prepared("s3", 6, smells=False),
         ]
-        kept, _ = filter_dataset(systems, ["t"])
-        again, report = filter_dataset(kept, ["t"])
+        kept, _ = filter_dataset(systems)
+        again, report = filter_dataset(kept)
         assert again == kept
         assert report.excluded_reports == ()
         assert report.excluded_systems == ()
 
     def test_everything_excluded_raises(self):
         with pytest.raises(ValueError, match="dataset empty after filtering"):
-            filter_dataset([_prepared("s1", 4)], ["t"])
+            filter_dataset([_prepared("s1", 4)])
 
     def test_validation_report_serialization(self):
         systems = [_prepared("s1", 6, nan_bugs={"s1-b0"}), _prepared("s2", 3)]
-        _, report = filter_dataset(systems, ["t"])
+        _, report = filter_dataset(systems)
         as_json = report.to_json_dict()
         assert as_json["excluded_reports"] == [
             {"system": "s1", "bug": "s1-b0", "reason": REASON_NAN}
@@ -750,20 +759,3 @@ class TestFilterDataset:
         text = report.to_text()
         assert "excluded report s1-b0 of s1: nan-score" in text
         assert "excluded system s2: fewer-than-5-reports" in text
-
-
-class TestToCombineInputs:
-    def test_adapter(self):
-        prepared = _prepared("s1", 6)
-        system, scores = to_combine_inputs(prepared, "t")
-        assert isinstance(system, combine.System)
-        assert system.name == "s1"
-        assert system.modules == ("a", "b", "c")
-        assert system.bug_ids == tuple(r.id for r in prepared.reports)
-        assert system.gold["s1-b0"] == frozenset({"a"})
-        assert scores.technique == "t"
-        assert scores.by_bug == prepared.techniques["t"].by_bug
-
-    def test_unprepared_technique(self):
-        with pytest.raises(ValueError, match="technique 'vsm' not prepared"):
-            to_combine_inputs(_prepared("s1", 5), "vsm")

@@ -17,7 +17,6 @@ from smelloc.metrics import (
     ranking_stats,
     reciprocal_rank,
     top_count,
-    top_n,
     wilcoxon_signed_rank,
 )
 
@@ -103,7 +102,7 @@ class TestTopAndAggregates:
         assert top_count(outcomes, 1) == 1
         assert top_count(outcomes, 5) == 3
         assert top_count(outcomes, 10) == 5
-        assert top_n(outcomes, 5) == 3 / 7
+        assert top_count(outcomes, 30) == 6  # all but the unranked gold
         report = metric_report(outcomes)
         assert report.counts == {1: 1, 5: 3, 10: 5}
         assert report.top == {1: 1 / 7, 5: 3 / 7, 10: 5 / 7}
@@ -131,8 +130,9 @@ class TestTopAndAggregates:
     def test_validation(self):
         with pytest.raises(ValueError, match="cutoff"):
             top_count([], 0)
+        assert top_count([], 5) == 0
         with pytest.raises(ValueError, match="no bug reports"):
-            top_n([], 5)
+            metric_report([])
         with pytest.raises(ValueError, match="no bug reports"):
             mean_reciprocal_rank([])
         with pytest.raises(ValueError, match="no bug reports"):

@@ -18,7 +18,6 @@ from smelloc.smells import (
     SMELL_TYPE_BY_NAME,
     SmellConfiguration,
     SmellInstance,
-    aggregate,
     is_original_index,
     select_instances,
     smell_values,
@@ -136,6 +135,12 @@ class TestSelectInstances:
             METHOD_GRANULARITY, "a1", frozenset({"Blob Class"})
         )
         assert select_instances(self.REPORT, cfg) == []
+
+
+def aggregate(instances, aggregator):
+    """One module's value from smell_values over a universe of that module."""
+    config = SmellConfiguration(BOTH_GRANULARITIES, aggregator, ALL_TYPE_NAMES)
+    return smell_values(["A.java"], instances, config)["A.java"]
 
 
 class TestAggregate:
