@@ -8,8 +8,8 @@ to a provenance manifest. Exit codes: 0 success, 1 internal error, 2 usage
 or input error.
 
 Each process runs one command, so start-up is paid per command: modules only
-some commands use (blending, risk, metrics, CSV and XML) are imported inside
-those commands, not here.
+some commands use (smells, blending, risk, metrics, CSV and XML) are imported
+inside those commands, not here.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ from typing import Iterable, Sequence
 from . import dataio, manifest
 from .corpus import build_corpus, source_files
 from .index import TermIndex, build_index, corpus_hash, load_index, rank, save_index
-from .smells import ALL_TYPE_NAMES, smell_values
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords, read_utf8
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_SELECTORS = {"s1": frozenset(ALL_TYPE_NAMES)}
 
 STAT_METRICS = ("top1", "top5", "top10", "mrr", "map")
 
@@ -80,15 +77,18 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _load_selectors(path: str | None) -> dict[str, frozenset[str]]:
-    """Read a JSON object mapping selector names to arrays of smell types."""
+    """Read a JSON object mapping selector names to arrays of smell types.
+
+    Without a file, s1 (every smell type) is the only selector.
+    """
+    from .smells import ALL_TYPE_NAMES
+
     if not path:
-        return dict(DEFAULT_SELECTORS)
-    selectors_file = _require_file(path, "selectors")
-    with open(selectors_file, encoding="utf-8", errors="replace") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+        return {"s1": ALL_TYPE_NAMES}
+    try:
+        raw = json.loads(read_utf8(_require_file(path, "selectors")))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: selectors must be a JSON object")
     # Files written by the risk command carry a manifest block alongside
@@ -108,7 +108,7 @@ def _load_selectors(path: str | None) -> dict[str, frozenset[str]]:
                 f"{path}: selector {name!r} names unknown smell types: {sorted(unknown)}"
             )
         selectors[name] = frozenset(types)
-    selectors.setdefault("s1", frozenset(ALL_TYPE_NAMES))
+    selectors.setdefault("s1", ALL_TYPE_NAMES)
     return selectors
 
 
@@ -209,6 +209,7 @@ def cmd_rank(args) -> int:
 def _combine_inputs(args):
     """Shared loading for the blend command: scores, smells, optional gold."""
     from . import combine
+    from .smells import ALL_TYPE_NAMES
 
     scores_path = _require_file(args.scores, "scores")
     smells_path = _require_file(args.smells, "smell report")
@@ -245,6 +246,7 @@ def _combine_inputs(args):
 
 def cmd_combine(args) -> int:
     from . import combine
+    from .smells import smell_values
 
     scores, smells, universe, config, reports, notes = _combine_inputs(args)
     inputs = {"scores": args.scores, "smells": args.smells}

@@ -217,61 +217,87 @@ def _ahead_counts(
     sg = score_vec[g]
     hg = smell_vec[g]
     tol = _NEAR_TIE
+    neg = -tol
     wide = tol * _STEPS
+    steps = float(_STEPS)
     last = _STEPS
-    diff = [0] * (last + 3)
+    top = last + 1.0
+    ceil = math.ceil
+    floor = math.floor
+    alphas = ALPHA_GRID
+    betas = _BETA_GRID
+    diff = [0] * (last + 2)
+    ahead = 0  # modules ahead at every grid point, added to diff[0] at the end
     cg = None
-    for j, (sj, hj) in enumerate(zip(score_vec, smell_vec)):
-        ds = sj - sg
-        dh = hj - hg
-        if ds > tol:
-            if dh > tol:
-                diff[0] += 1
+    # The modules before g win exact ties, those from g on lose them.
+    for before, scores, smells in (
+        (True, score_vec[:g], smell_vec[:g]),
+        (False, score_vec[g:], smell_vec[g:]),
+    ):
+        for sj, hj in zip(scores, smells):
+            ds = sj - sg
+            dh = hj - hg
+            if ds > tol:
+                if dh > tol:
+                    ahead += 1
+                    continue
+            elif ds < neg and dh < neg:
                 continue
-        elif ds < -tol and dh < -tol:
-            continue
-        if dh == 0.0:
-            if ds == 0.0:
-                # Equal inputs blend to equal floats at every alpha.
-                if j < g:
-                    diff[0] += 1
+            if dh == 0.0:
+                if ds == 0.0:
+                    # Equal inputs blend to equal floats at every alpha.
+                    if before:
+                        ahead += 1
+                    continue
+                if ds > wide or ds < -wide:
+                    # Equal smell: the score order holds below alpha 1, where
+                    # both blends are exactly h and the index breaks the tie.
+                    if ds > 0.0:
+                        ahead += 1
+                        diff[last] -= 1
+                    if before:
+                        diff[last] += 1
+                    continue
+            slope = dh - ds
+            if slope == 0.0:
+                # The line stays within tol of zero: every point is a near tie.
+                lo = 0
+                hi = last
+            else:
+                # Grid indices where |ds + alpha * slope| <= tol: lo in
+                # [0, last + 1] and hi in [-1, last], so an empty band keeps
+                # its side of the grid.
+                x0 = (neg - ds) / slope * steps
+                x1 = (tol - ds) / slope * steps
+                if x0 > x1:
+                    x0, x1 = x1, x0
+                if x0 <= 0.0:
+                    lo = 0
+                elif x0 >= top:
+                    lo = last + 1
+                else:
+                    lo = ceil(x0)
+                if x1 >= last:
+                    hi = last
+                elif x1 < 0.0:
+                    hi = -1
+                else:
+                    hi = floor(x1)
+                if slope > 0.0:  # behind before the band, ahead after it
+                    diff[hi + 1] += 1
+                else:  # ahead before the band, behind after it
+                    ahead += 1
+                    diff[lo] -= 1
+            if lo > hi:
                 continue
-            if ds > wide or ds < -wide:
-                # Equal smell: the score order holds below alpha 1, where
-                # both blends are exactly h and the index breaks the tie.
-                if ds > 0.0:
-                    diff[0] += 1
-                    diff[last] -= 1
-                if j < g:
-                    diff[last] += 1
-                continue
-        slope = dh - ds
-        if slope == 0.0:
-            # The line stays within tol of zero: every point is a near tie.
-            lo, hi = 0, last
-        else:
-            # Grid indices where |ds + alpha * slope| <= tol, clamped to
-            # [-1, last + 1] so an empty band keeps its side of the grid.
-            x0 = (-tol - ds) / slope * _STEPS
-            x1 = (tol - ds) / slope * _STEPS
-            if x0 > x1:
-                x0, x1 = x1, x0
-            lo = math.ceil(min(max(x0, -1.0), last + 1.0))
-            hi = math.floor(min(max(x1, -1.0), last + 1.0))
-            if slope > 0.0:  # behind before the band, ahead after it
-                diff[max(hi + 1, 0)] += 1
-            else:  # ahead before the band, behind after it
-                diff[0] += 1
-                diff[max(lo, 0)] -= 1
-        if lo > hi:
-            continue
-        if cg is None:
-            cg = [b * sg + a * hg for a, b in zip(ALPHA_GRID, _BETA_GRID)]
-        for i in range(max(lo, 0), min(hi, last) + 1):
-            cj = _BETA_GRID[i] * sj + ALPHA_GRID[i] * hj
-            if cj > cg[i] or (cj == cg[i] and j < g):
-                diff[i] += 1
-                diff[i + 1] -= 1
+            if cg is None:
+                cg = [b * sg + a * hg for a, b in zip(alphas, betas)]
+            for i in range(lo, hi + 1):
+                cj = betas[i] * sj + alphas[i] * hj
+                if cj > cg[i] or (cj == cg[i] and before):
+                    diff[i] += 1
+                    diff[i + 1] -= 1
+    diff[0] += ahead
     return list(accumulate(diff[: last + 1]))
 
 
@@ -294,7 +320,9 @@ def _report_stats(positions: Sequence[int], gold_count: int) -> tuple[float, ...
 
 
 def _sweep_stats(
-    reports: Sequence[_Report], smell_vec: Sequence[float]
+    reports: Sequence[_Report],
+    smell_vec: Sequence[float],
+    memo: dict[tuple[tuple[int, ...], int], tuple[float, ...]] | None = None,
 ) -> list[tuple[float, ...]]:
     """Per grid alpha: pooled outcome stats over the given bug reports.
 
@@ -303,21 +331,32 @@ def _sweep_stats(
     holds normalized smell values in ascending module order. The result
     equals ranking the universe by a stable reverse sort at every grid
     point, without building or sorting any ranking.
+
+    A segment's stats depend only on its gold modules' ahead counts and the
+    report's gold count, so they are computed once per such key; memo keeps
+    them across calls, e.g. over every smell map of one system.
     """
+    if memo is None:
+        memo = {}
     points = len(ALPHA_GRID)
     # Per grid index, the reports whose stats change there: every report
     # starts a segment at index 0, and another where a gold position moves.
     starts: list[list[tuple[int, tuple[float, ...]]]] = [[] for _ in range(points)]
     for r, report in enumerate(reports):
+        gold_count = report.gold_count
         ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
         if not ahead:
-            starts[0].append((r, _report_stats((), report.gold_count)))
+            starts[0].append((r, _report_stats((), gold_count)))
             continue
         i = 0
         for counts, run in groupby(zip(*ahead)):
-            starts[i].append(
-                (r, _report_stats(sorted(c + 1 for c in counts), report.gold_count))
-            )
+            key = (counts, gold_count)
+            stats = memo.get(key)
+            if stats is None:
+                stats = memo[key] = _report_stats(
+                    sorted(c + 1 for c in counts), gold_count
+                )
+            starts[i].append((r, stats))
             i += len(list(run))
     current: list[tuple[float, ...]] = [()] * len(reports)
     count = float(len(reports))
@@ -489,11 +528,13 @@ def _system_task(
     """Sweep stats for every configuration of one system (worker body).
 
     Every report's scores are normalized once; configurations that induce
-    the same raw smell map share one sweep. Returns the distinct stats
-    lists and, per configuration, the index of its list.
+    the same raw smell map share one sweep, and every sweep shares one memo
+    of segment stats. Returns the distinct stats lists and, per
+    configuration, the index of its list.
     """
     system, scores, configs = args
     reports = _reports(system, scores)
+    memo: dict[tuple[tuple[int, ...], int], tuple[float, ...]] = {}
     position: dict[tuple[float, ...], int] = {}
     distinct: list[list[tuple[float, ...]]] = []
     index = []
@@ -505,7 +546,9 @@ def _system_task(
         if d is None:
             norm_smell = normalize(raw)
             d = position[key] = len(distinct)
-            distinct.append(_sweep_stats(reports, [norm_smell[m] for m in modules]))
+            distinct.append(
+                _sweep_stats(reports, [norm_smell[m] for m in modules], memo)
+            )
         index.append(d)
     return distinct, index
 

@@ -8,7 +8,6 @@ literals contribute tokens too.
 
 from __future__ import annotations
 
-import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -46,18 +45,36 @@ def split_identifiers(text: str) -> list[str]:
     return _SUBTOKEN.findall(text)
 
 
-@functools.cache
+# Token -> its stem fixpoint, for every token stemmed so far, including the
+# intermediate stems on the way to a fixpoint.
+_FIXPOINTS: dict[str, str] = {}
+
+
 def _stem_fixpoint(token: str) -> str:
     # A single stemmer pass is not idempotent ("agreed" -> "agre" -> "agr"),
     # so iterate until stable; each changing pass shortens the token or turns
     # a trailing y into i, which bounds the loop. The result depends on the
-    # token alone, so one memo serves every stopword set; distinct subtokens
-    # are few next to their occurrences.
+    # token alone, so one memo serves every stopword set. Each intermediate
+    # stem is memoized too: connected, connection and connecting all pass
+    # through "connect", whose confirming pass then runs once. A loop, not
+    # recursion, as a long token can take hundreds of passes.
+    fixpoint = _FIXPOINTS.get(token)
+    if fixpoint is not None:
+        return fixpoint
+    chain = []
     while True:
+        chain.append(token)
         stemmed = stem(token)
         if stemmed == token:
-            return stemmed
+            fixpoint = token
+            break
+        fixpoint = _FIXPOINTS.get(stemmed)
+        if fixpoint is not None:
+            break
         token = stemmed
+    for token in chain:
+        _FIXPOINTS[token] = fixpoint
+    return fixpoint
 
 
 def _keep(token: str, stopwords: frozenset[str]) -> bool:

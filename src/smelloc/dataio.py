@@ -21,11 +21,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import TokenDocument, build_corpus, build_query
 from .index import ScoredRanking, TermIndex, build_index, cosine_score, rvsm_score
-from .smells import SMELL_TYPE_BY_NAME, SmellInstance
-from .stopwords import DEFAULT_STOPWORDS, read_utf8
+from .stopwords import DEFAULT_STOPWORDS, read_utf8, utf8_error
 
 if TYPE_CHECKING:
     from . import combine
+    from .smells import SmellInstance
 
     # One system scored by one technique: what filtering and the search take.
     ScoredSystem = tuple[combine.System, combine.TechniqueScores]
@@ -133,11 +133,10 @@ def _json_error(path: str | Path, exc: json.JSONDecodeError) -> ValueError:
 
 def load_bug_reports(path: str | Path) -> tuple[BugReport, ...]:
     """Read a JSON array of {"id", "summary", "description", "gold": [...]}."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        try:
-            records = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _json_error(path, exc) from exc
+    try:
+        records = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise _json_error(path, exc) from exc
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of bug reports")
     reports = []
@@ -172,11 +171,14 @@ def load_bug_reports(path: str | Path) -> tuple[BugReport, ...]:
 
 def load_smell_report(path: str | Path) -> tuple[SmellInstance, ...]:
     """Read a JSON array of {"type", "module", "method"?, "severity"}."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        try:
-            records = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _json_error(path, exc) from exc
+    # Imported here so that commands which never read smells (index, rank)
+    # do not load the smell model.
+    from .smells import SMELL_TYPE_BY_NAME, SmellInstance
+
+    try:
+        records = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise _json_error(path, exc) from exc
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of smell instances")
     instances = []
@@ -231,43 +233,53 @@ def load_external_scores(
     """
     by_bug: dict[str, dict[str, float]] = {}
     known = set(known_bugs) if known_bugs is not None else None
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec, end = _decode_line(line)
-                if end != len(line):
-                    # json.loads reports the extra data after any whitespace.
-                    extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
-                    raise json.JSONDecodeError("Extra data", line, extra)
-                bug = rec["bug"]
-                module = rec["module"]
-                score = rec["score"]
-                if type(bug) is not str:
-                    raise ValueError(f"bug must be a string, got {bug!r}")
-                if type(module) is not str:
-                    raise ValueError(f"module must be a string, got {module!r}")
-                if type(score) is not float:
-                    # A bool is an int to Python but no JSON number.
-                    if type(score) is not int:
-                        raise ValueError(f"score must be a number, got {score!r}")
-                    score = float(score)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                if line.startswith("\ufeff"):  # json.loads names the BOM
-                    exc = json.JSONDecodeError(_BOM_ERROR, line, 0)
-                raise ValueError(f"{path}:{lineno}: bad score entry: {exc}") from exc
-            modules = by_bug.get(bug)
-            if modules is None:
-                modules = by_bug[bug] = {}
-                if known is not None and bug not in known:
-                    logger.warning("%s:%d: score for unknown bug id %r", path, lineno, bug)
-            if module in modules:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate score for bug {bug!r}, module {module!r}"
-                )
-            modules[module] = score
+    # Streamed, not read whole: a bad byte stops the decoder, and only then
+    # is the file scanned again to name the line.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec, end = _decode_line(line)
+                    if end != len(line):
+                        # json.loads reports the extra data after any whitespace.
+                        extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
+                        raise json.JSONDecodeError("Extra data", line, extra)
+                    bug = rec["bug"]
+                    module = rec["module"]
+                    score = rec["score"]
+                    if type(bug) is not str:
+                        raise ValueError(f"bug must be a string, got {bug!r}")
+                    if type(module) is not str:
+                        raise ValueError(f"module must be a string, got {module!r}")
+                    if type(score) is not float:
+                        # A bool is an int to Python but no JSON number.
+                        if type(score) is not int:
+                            raise ValueError(f"score must be a number, got {score!r}")
+                        score = float(score)
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    if line.startswith("\ufeff"):  # json.loads names the BOM
+                        exc = json.JSONDecodeError(_BOM_ERROR, line, 0)
+                    raise ValueError(
+                        f"{path}:{lineno}: bad score entry: {exc}"
+                    ) from exc
+                modules = by_bug.get(bug)
+                if modules is None:
+                    modules = by_bug[bug] = {}
+                    if known is not None and bug not in known:
+                        logger.warning(
+                            "%s:%d: score for unknown bug id %r", path, lineno, bug
+                        )
+                if module in modules:
+                    raise ValueError(
+                        f"{path}:{lineno}: duplicate score for bug {bug!r}, "
+                        f"module {module!r}"
+                    )
+                modules[module] = score
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     from . import combine
 
     return combine.TechniqueScores(technique=technique, by_bug=by_bug)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -44,6 +45,11 @@ class TermIndex:
 
     def idf(self, term_id: int) -> float:
         return math.log(self.size / self.doc_freq[term_id])
+
+    @cached_property
+    def length_factors(self) -> dict[str, float]:
+        """length_factor of this index, computed once on first use."""
+        return length_factor(self)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def length_factor(index: TermIndex) -> dict[str, float]:
 
 def rvsm_score(query: TokenDocument, index: TermIndex) -> dict[str, float]:
     """Cosine similarity scaled by the document length factor."""
-    factors = length_factor(index)
+    factors = index.length_factors
     return {
         doc_id: factors[doc_id] * sim
         for doc_id, sim in cosine_score(query, index).items()

@@ -4,174 +4,135 @@ Implements the canonical variant distributed by the algorithm's author,
 which differs from the journal text in two widely adopted rules in step 2
 ("bli" -> "ble" instead of "abli" -> "able", plus "logi" -> "log") and in
 leaving words of length <= 2 untouched. Input must already be lowercase.
+
+The rule tables are dicts keyed by suffix. A step looks up only the suffix
+lengths that occur among its rules ending in the word's last letter, longest
+first, so the first hit is the longest matching suffix. Conditions read a
+consonant/vowel pattern of the candidate stem, one "c" or "v" per letter,
+computed once per candidate.
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+
+class _LetterClasses(dict):
+    """str.translate table: vowels to "v", y kept for context, all else "c"."""
+
+    def __missing__(self, key: int) -> str:
+        return "c"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+_CLASSES = _LetterClasses({ord(v): "v" for v in "aeiou"})
+_CLASSES[ord("y")] = "y"
 
 
-def _measure(stem: str) -> int:
-    """Count vowel-consonant sequences ("m" in the algorithm's notation)."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if cons and prev_vowel:
-            m += 1
-        prev_vowel = not cons
-    return m
+def _pattern(stem: str) -> str:
+    """One "c" or "v" per letter. y is a consonant at the start or after a
+    vowel and a vowel after a consonant."""
+    classes = stem.translate(_CLASSES)
+    if "y" not in classes:
+        return classes
+    out = []
+    prev = "v"  # so a leading y reads as a consonant
+    for ch in classes:
+        if ch == "y":
+            ch = "c" if prev == "v" else "v"
+        out.append(ch)
+        prev = ch
+    return "".join(out)
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+# The measure m of a stem, [C](VC){m}[V] in the algorithm's notation, is
+# pattern.count("vc"): the "vc" pairs cannot overlap.
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
+def _ends_cvc(stem: str, pattern: str) -> bool:
     """Consonant-vowel-consonant ending where the last consonant is not w, x, y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return pattern.endswith("cvc") and stem[-1] not in "wxy"
 
 
-# (suffix, replacement, minimum measure of the remaining stem) triples for the
-# dictionary-driven steps. Within a step only the longest matching suffix is
-# considered; if its condition fails, no rule of that step fires.
-_STEP2 = (
+def _table(rules):
+    """(suffix -> replacement, last letter -> suffix lengths, longest first)."""
+    by_suffix = dict(rules)
+    lengths: dict[str, set[int]] = {}
+    for suffix in by_suffix:
+        lengths.setdefault(suffix[-1], set()).add(len(suffix))
+    return by_suffix, {
+        last: tuple(sorted(ns, reverse=True)) for last, ns in lengths.items()
+    }
+
+
+# Within a step only the longest matching suffix is considered; if its
+# condition fails, no rule of that step fires.
+_STEP2, _STEP2_LENGTHS = _table((
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("bli", "ble"), ("alli", "al"), ("entli", "ent"),
     ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
     ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
     ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
     ("logi", "log"),
-)
+))
 
-_STEP3 = (
+_STEP3, _STEP3_LENGTHS = _table((
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
+))
 
-_STEP4 = (
+_STEP4, _STEP4_LENGTHS = _table((suffix, "") for suffix in (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+))
 
 
-def _longest_suffix(word: str, suffixes) -> str | None:
-    best = None
-    for suf in suffixes:
-        if word.endswith(suf) and (best is None or len(suf) > len(best)):
-            best = suf
-    return best
+def _longest_suffix(word: str, rules: dict[str, str], lengths) -> str:
+    """The longest suffix of word that rules name, or ""."""
+    for n in lengths.get(word[-1], ()):
+        suffix = word[-n:]  # the whole word when it is shorter than n
+        if suffix in rules:
+            return suffix
+    return ""
 
 
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
-
-
-def _step1b(word: str) -> str:
+def _step1ab(word: str) -> str:
+    if word[-1] == "s":
+        if word.endswith(("sses", "ies")):
+            word = word[:-2]
+        elif word[-2] != "s":
+            word = word[:-1]
     if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
+        if _pattern(word[:-3]).count("vc") > 0:
             return word[:-1]
         return word
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        word = word[:-2]
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        word = word[:-3]
+    if word.endswith("ed"):
+        stem = word[:-2]
+    elif word.endswith("ing"):
+        stem = word[:-3]
     else:
         return word
+    pattern = _pattern(stem)
+    if "v" not in pattern:
+        return word
     # cleanup after a successful ed/ing removal
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if stem[-1] == stem[-2:-1] and pattern[-1] == "c" and stem[-1] not in "lsz":
+        return stem[:-1]
+    if pattern.count("vc") == 1 and _ends_cvc(stem, pattern):
+        return stem + "e"
+    return stem
 
 
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-def _step2(word: str) -> str:
-    suf = _longest_suffix(word, [s for s, _ in _STEP2])
-    if suf is None:
+def _replace(word: str, rules: dict[str, str], lengths, measure: int) -> str:
+    """Steps 2-4: rewrite the longest listed suffix if the stem's measure
+    exceeds the given one."""
+    suffix = _longest_suffix(word, rules, lengths)
+    if not suffix:
         return word
-    repl = dict(_STEP2)[suf]
-    stem = word[: -len(suf)]
-    if _measure(stem) > 0:
-        return stem + repl
-    return word
-
-
-def _step3(word: str) -> str:
-    suf = _longest_suffix(word, [s for s, _ in _STEP3])
-    if suf is None:
+    stem = word[: len(word) - len(suffix)]
+    if suffix == "ion" and not stem.endswith(("s", "t")):  # step 4 only
         return word
-    repl = dict(_STEP3)[suf]
-    stem = word[: -len(suf)]
-    if _measure(stem) > 0:
-        return stem + repl
-    return word
-
-
-def _step4(word: str) -> str:
-    suf = _longest_suffix(word, _STEP4)
-    if suf is None:
-        return word
-    stem = word[: -len(suf)]
-    if suf == "ion" and not stem.endswith(("s", "t")):
-        return word
-    if _measure(stem) > 1:
-        return stem
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if word.endswith("ll") and _measure(word) > 1:
-        return word[:-1]
+    if _pattern(stem).count("vc") > measure:
+        return stem + rules[suffix]
     return word
 
 
@@ -179,12 +140,21 @@ def stem(word: str) -> str:
     """Return the stem of a lowercase word."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    word = _step1ab(word)
+    # step 1c
+    if word[-1] == "y" and "v" in _pattern(word[:-1]):
+        word = word[:-1] + "i"
+    word = _replace(word, _STEP2, _STEP2_LENGTHS, 0)
+    word = _replace(word, _STEP3, _STEP3_LENGTHS, 0)
+    word = _replace(word, _STEP4, _STEP4_LENGTHS, 1)
+    # step 5a
+    if word[-1] == "e":
+        stem = word[:-1]
+        pattern = _pattern(stem)
+        m = pattern.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(stem, pattern)):
+            word = stem
+    # step 5b
+    if word.endswith("ll") and _pattern(word).count("vc") > 1:
+        word = word[:-1]
     return word

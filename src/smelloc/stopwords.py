@@ -52,12 +52,23 @@ DEFAULT_STOPWORDS = ENGLISH_STOPWORDS | JAVA_KEYWORDS
 def read_utf8(path: str | Path) -> str:
     """The text of a UTF-8 file; a bad byte raises a ValueError naming the
     file and line, instead of being replaced and silently misread."""
-    data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: not valid UTF-8: {exc.reason}") from None
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+
+
+def utf8_error(path: str | Path) -> ValueError:
+    """The error for a file that failed to decode as UTF-8, naming its first
+    bad line: the lines are decoded again, in binary, to find it. A UTF-8
+    sequence never contains a newline byte, so no line split cuts one."""
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}:{line}: not valid UTF-8: {exc.reason}")
+    return ValueError(f"{path}: not valid UTF-8")
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

@@ -1,11 +1,13 @@
 """Independent reference implementations used only to cross-check the package.
 
 Each oracle takes a deliberately different route from the implementation
-under test: the stemmer is a procedural buffer-and-offsets port, the splitter
+under test: the stemmer is a procedural buffer-and-offsets port and,
+separately, the package's former suffix-scanning stemmer, the splitter
 is a character loop and, separately, a two-stage regex, cosine goes through
 dense numpy vectors, the rank metrics count positions exhaustively, Cliff's
 delta is the O(n*m) double loop, relative risk is direct set counting,
-the alpha sweep fully sorts the universe at every grid point, the sweep's
+the alpha sweep fully sorts the universe at every grid point, the ahead
+counts keep the former min/max clamps and per-module updates, the sweep's
 pooling compares the zipped per-report columns at every grid point, a smell
 value is aggregated one module at a time from the whole report, score
 dumps go through one json.loads or json.dumps call per line, and JSON
@@ -14,18 +16,24 @@ reports go through json.dump.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import math
 import re
 import string
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
+from pathlib import Path
 
 import numpy as np
 
 from smelloc.combine import (
-    ALPHA_GRID,
+    _BETA_GRID,
     _N_STATS,
+    _NEAR_TIE,
+    _STEPS,
+    ALPHA_GRID,
     TechniqueScores,
     _ahead_counts,
     _report_stats,
@@ -230,6 +238,194 @@ class PorterReference:
         self._step4()
         self._step5()
         return self.b[: self.k + 1]
+
+
+# The package's stemmer before its rule tables became dicts (see
+# stem_by_scanning), kept whole so the table-driven one can be compared
+# against it word for word.
+
+_scan_VOWELS = "aeiou"
+
+
+def _scan_is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _scan_VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _scan_is_consonant(word, i - 1)
+    return True
+
+
+def _scan_measure(stem: str) -> int:
+    """Count vowel-consonant sequences ("m" in the algorithm's notation)."""
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        cons = _scan_is_consonant(stem, i)
+        if cons and prev_vowel:
+            m += 1
+        prev_vowel = not cons
+    return m
+
+
+def _scan_has_vowel(stem: str) -> bool:
+    return any(not _scan_is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _scan_ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _scan_is_consonant(word, len(word) - 1)
+    )
+
+
+def _scan_ends_cvc(word: str) -> bool:
+    """Consonant-vowel-consonant ending where the last consonant is not w, x, y."""
+    if len(word) < 3:
+        return False
+    return (
+        _scan_is_consonant(word, len(word) - 3)
+        and not _scan_is_consonant(word, len(word) - 2)
+        and _scan_is_consonant(word, len(word) - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+# (suffix, replacement, minimum measure of the remaining stem) triples for the
+# dictionary-driven steps. Within a step only the longest matching suffix is
+# considered; if its condition fails, no rule of that step fires.
+_scan_STEP2 = (
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("bli", "ble"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+    ("logi", "log"),
+)
+
+_scan_STEP3 = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+
+_scan_STEP4 = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def _scan_longest_suffix(word: str, suffixes) -> str | None:
+    best = None
+    for suf in suffixes:
+        if word.endswith(suf) and (best is None or len(suf) > len(best)):
+            best = suf
+    return best
+
+
+def _scan_step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _scan_step1b(word: str) -> str:
+    if word.endswith("eed"):
+        if _scan_measure(word[:-3]) > 0:
+            return word[:-1]
+        return word
+    if word.endswith("ed") and _scan_has_vowel(word[:-2]):
+        word = word[:-2]
+    elif word.endswith("ing") and _scan_has_vowel(word[:-3]):
+        word = word[:-3]
+    else:
+        return word
+    # cleanup after a successful ed/ing removal
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _scan_ends_double_consonant(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _scan_measure(word) == 1 and _scan_ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _scan_step1c(word: str) -> str:
+    if word.endswith("y") and _scan_has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+def _scan_step2(word: str) -> str:
+    suf = _scan_longest_suffix(word, [s for s, _ in _scan_STEP2])
+    if suf is None:
+        return word
+    repl = dict(_scan_STEP2)[suf]
+    stem = word[: -len(suf)]
+    if _scan_measure(stem) > 0:
+        return stem + repl
+    return word
+
+
+def _scan_step3(word: str) -> str:
+    suf = _scan_longest_suffix(word, [s for s, _ in _scan_STEP3])
+    if suf is None:
+        return word
+    repl = dict(_scan_STEP3)[suf]
+    stem = word[: -len(suf)]
+    if _scan_measure(stem) > 0:
+        return stem + repl
+    return word
+
+
+def _scan_step4(word: str) -> str:
+    suf = _scan_longest_suffix(word, _scan_STEP4)
+    if suf is None:
+        return word
+    stem = word[: -len(suf)]
+    if suf == "ion" and not stem.endswith(("s", "t")):
+        return word
+    if _scan_measure(stem) > 1:
+        return stem
+    return word
+
+
+def _scan_step5a(word: str) -> str:
+    if word.endswith("e"):
+        stem = word[:-1]
+        m = _scan_measure(stem)
+        if m > 1 or (m == 1 and not _scan_ends_cvc(stem)):
+            return stem
+    return word
+
+
+def _scan_step5b(word: str) -> str:
+    if word.endswith("ll") and _scan_measure(word) > 1:
+        return word[:-1]
+    return word
+
+
+def stem_by_scanning(word: str) -> str:
+    """The package's stemmer before its rule tables became dicts: each step
+    scans every suffix with endswith, and conditions test one letter at a
+    time."""
+    if len(word) <= 2:
+        return word
+    word = _scan_step1a(word)
+    word = _scan_step1b(word)
+    word = _scan_step1c(word)
+    word = _scan_step2(word)
+    word = _scan_step3(word)
+    word = _scan_step4(word)
+    word = _scan_step5a(word)
+    word = _scan_step5b(word)
+    return word
 
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
@@ -442,6 +638,84 @@ def sweep_stats_by_columns(reports, smell_vec):
     return out
 
 
+def ahead_counts_by_line(
+    score_vec: Sequence[float], smell_vec: Sequence[float], g: int
+) -> list[int]:
+    """Per grid alpha, how many modules rank ahead of module g.
+
+    This was combine._ahead_counts before it clamped with comparisons and
+    counted the always-ahead modules in one int; it keeps the min/max clamps,
+    enumerate and a diff[0] update per module.
+
+    Module j is ahead when its blended score is larger, or equal with j < g:
+    the order of a stable reverse sort over ascending module indices. The
+    blend is linear in alpha, so c_j - c_g follows the line
+    ds + alpha * (dh - ds) through the endpoint differences and changes sign
+    at most once; a difference array over the grid records where j is ahead.
+    Grid points where the line is within _NEAR_TIE of zero compare the
+    blended floats themselves.
+    """
+    sg = score_vec[g]
+    hg = smell_vec[g]
+    tol = _NEAR_TIE
+    wide = tol * _STEPS
+    last = _STEPS
+    diff = [0] * (last + 3)
+    cg = None
+    for j, (sj, hj) in enumerate(zip(score_vec, smell_vec)):
+        ds = sj - sg
+        dh = hj - hg
+        if ds > tol:
+            if dh > tol:
+                diff[0] += 1
+                continue
+        elif ds < -tol and dh < -tol:
+            continue
+        if dh == 0.0:
+            if ds == 0.0:
+                # Equal inputs blend to equal floats at every alpha.
+                if j < g:
+                    diff[0] += 1
+                continue
+            if ds > wide or ds < -wide:
+                # Equal smell: the score order holds below alpha 1, where
+                # both blends are exactly h and the index breaks the tie.
+                if ds > 0.0:
+                    diff[0] += 1
+                    diff[last] -= 1
+                if j < g:
+                    diff[last] += 1
+                continue
+        slope = dh - ds
+        if slope == 0.0:
+            # The line stays within tol of zero: every point is a near tie.
+            lo, hi = 0, last
+        else:
+            # Grid indices where |ds + alpha * slope| <= tol, clamped to
+            # [-1, last + 1] so an empty band keeps its side of the grid.
+            x0 = (-tol - ds) / slope * _STEPS
+            x1 = (tol - ds) / slope * _STEPS
+            if x0 > x1:
+                x0, x1 = x1, x0
+            lo = math.ceil(min(max(x0, -1.0), last + 1.0))
+            hi = math.floor(min(max(x1, -1.0), last + 1.0))
+            if slope > 0.0:  # behind before the band, ahead after it
+                diff[max(hi + 1, 0)] += 1
+            else:  # ahead before the band, behind after it
+                diff[0] += 1
+                diff[max(lo, 0)] -= 1
+        if lo > hi:
+            continue
+        if cg is None:
+            cg = [b * sg + a * hg for a, b in zip(ALPHA_GRID, _BETA_GRID)]
+        for i in range(max(lo, 0), min(hi, last) + 1):
+            cj = _BETA_GRID[i] * sj + ALPHA_GRID[i] * hj
+            if cj > cg[i] or (cj == cg[i] and j < g):
+                diff[i] += 1
+                diff[i + 1] -= 1
+    return list(accumulate(diff[: last + 1]))
+
+
 def aggregate(instances, aggregator: str) -> float:
     """Collapse a module's selected instances to one number; empty -> 0."""
     value = _aggregator(aggregator)
@@ -460,10 +734,20 @@ def load_external_scores_by_json_loads(path, technique, known_bugs=None):
     Non-finite scores are kept as parsed; the validity filter flags them
     later instead of this loader repairing them silently. Duplicate
     (bug, module) pairs are an error; bug ids outside known_bugs only warn.
+    The whole file is decoded first, so a bad byte anywhere is reported
+    before any bad entry, as the streaming loader does for a file within
+    its decoder's first chunk.
     """
     by_bug: dict[str, dict[str, float]] = {}
     known = set(known_bugs) if known_bugs is not None else None
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not valid UTF-8: {exc.reason}") from None
+    # newline=None splits lines as a file opened in text mode does.
+    with io.StringIO(text, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

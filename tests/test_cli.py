@@ -1091,7 +1091,7 @@ class TestStrictInputs:
              ": selector 's2' must be a JSON array of smell type names, "
              "got ['God Class', 3]\n"),
             (b'{"s2": ["God Class"', ":1: malformed JSON: "),
-            (b'{"s2": ["God \xff Class"]}', ": selector 's2' names unknown smell types: "),
+            (b'{"s2": ["God \xff Class"]}', ":1: not valid UTF-8: invalid start byte\n"),
         ],
         ids=["array", "string-value", "non-string-type", "malformed", "not-utf8"],
     )
@@ -1166,6 +1166,34 @@ class TestStrictInputs:
         }[reader]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: not valid UTF-8: ")
+
+    @pytest.mark.parametrize("reader", ["bugs", "smells", "scores"])
+    def test_non_utf8_record_exits_2_naming_its_line(self, java_system, tmp_path, capsys,
+                                                     reader):
+        # A 0xff byte inside an id on line 2: with errors="replace" it would
+        # load as U+FFFD, another gold path, smelly module or ranked module.
+        bad = tmp_path / "bad"
+        bad.write_bytes({
+            "bugs": b'[{"id": "B-1", "summary": "store",\n'
+                    b'  "gold": ["com/app/St\xffore.java"]}]\n',
+            "smells": b'[{"type": "Blob Class", "severity": 5,\n'
+                      b'  "module": "com/app/St\xffore.java"}]\n',
+            "scores": b'{"bug": "B-1", "module": "A.java", "score": 0.5}\n'
+                      b'{"bug": "B-1", "module": "A\xff.java", "score": 0.2}\n',
+        }[reader])
+        bugs, src, out = str(java_system["bugs"]), str(java_system["src"]), str(tmp_path / "x")
+        argv = {
+            "bugs": ["rank", "--technique", "vsm", "--bugs", str(bad), "--snapshot", src,
+                     "--out", out],
+            "smells": ["risk", "--smells", str(bad), "--snapshot", src, "--bugs", bugs,
+                       "--out", out],
+            "scores": ["rank", "--technique", "external:x", "--scores", str(bad),
+                       "--bugs", bugs, "--out", out],
+        }[reader]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: not valid UTF-8: invalid start byte\n"
+        )
 
 
 class TestCommonFlags:
@@ -1399,5 +1427,7 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout.splitlines()[-1]))
         # rank scores through dataio, which imports combine only to prepare
-        # systems for config-search.
-        assert {"smelloc.combine", "smelloc.risk", "smelloc.metrics"}.isdisjoint(loaded)
+        # systems for config-search and smells only to read a smell report.
+        assert {
+            "smelloc.combine", "smelloc.risk", "smelloc.metrics", "smelloc.smells"
+        }.isdisjoint(loaded)

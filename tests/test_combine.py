@@ -14,6 +14,8 @@ from smelloc.combine import (
     AlphaSweepResult,
     System,
     TechniqueScores,
+    _ahead_counts,
+    _report_stats,
     _reports,
     _sweep_stats,
     _system_task,
@@ -39,6 +41,7 @@ from smelloc.smells import (
 )
 
 from _oracles import (
+    ahead_counts_by_line,
     average_precision_exhaustive,
     first_gold_rank_exhaustive,
     sweep_stats_by_columns,
@@ -418,6 +421,107 @@ def _adversarial_universe(draw):
         smells=(),
     )
     return system, TechniqueScores(technique="t", by_bug=by_bug), smell
+
+
+# Endpoint differences that reach every branch of _ahead_counts: equal
+# inputs, near ties inside and outside _NEAR_TIE * 100 (1e-10), slopes of
+# +-1e-300 whose band clamps past either grid end, bands at alpha 0 (tiny
+# ds) or alpha 1 (tiny dh), and plain crossings.
+_DELTAS = (
+    0.0, 1e-300, -1e-300, 2e-300, -2e-300, 1e-13, -1e-13, 5e-13, -5e-13,
+    1e-12, -1e-12, 1e-11, -1e-11, 1e-10, -1e-10, 2e-10, -2e-10,
+    0.25, -0.25, 0.5, -0.5,
+)
+_GOLD_POINTS = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (0.3, 0.7))
+
+
+def _ahead_by_blending(score_vec, smell_vec, g):
+    """Per grid alpha, the modules whose blend beats g's or ties it with a
+    smaller index: the definition, evaluated module by module."""
+    out = []
+    for alpha, beta in zip(ALPHA_GRID, (1.0 - a for a in ALPHA_GRID)):
+        cg = beta * score_vec[g] + alpha * smell_vec[g]
+        out.append(sum(
+            1
+            for j, (s, h) in enumerate(zip(score_vec, smell_vec))
+            if (c := beta * s + alpha * h) > cg or (c == cg and j < g)
+        ))
+    return out
+
+
+@st.composite
+def _ahead_universe(draw):
+    sg, hg = draw(st.sampled_from(_GOLD_POINTS))
+    delta = st.one_of(
+        st.sampled_from(_DELTAS), st.floats(-1.0, 1.0, allow_subnormal=True)
+    )
+    others = draw(st.lists(st.tuples(delta, delta), min_size=1, max_size=8))
+    g = draw(st.integers(0, len(others)))
+    rows = [(sg + ds, hg + dh) for ds, dh in others]
+    rows.insert(g, (sg, hg))
+    return [s for s, _ in rows], [h for _, h in rows], g
+
+
+class TestAheadCounts:
+    """The comparison-clamped counter equals the min/max one it replaced,
+    list for list, and the blend-by-blend definition."""
+
+    def test_matches_former_counter_on_every_delta_pair(self):
+        for sg, hg in _GOLD_POINTS:
+            for ds in _DELTAS:
+                for dh in _DELTAS:
+                    # The same module once before g and once after it.
+                    scores = [sg + ds, sg, sg + ds]
+                    smells = [hg + dh, hg, hg + dh]
+                    got = _ahead_counts(scores, smells, 1)
+                    assert got == ahead_counts_by_line(scores, smells, 1), (ds, dh)
+                    assert got == _ahead_by_blending(scores, smells, 1), (ds, dh)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_ahead_universe())
+    def test_matches_former_counter_on_small_universes(self, universe):
+        scores, smells, g = universe
+        got = _ahead_counts(scores, smells, g)
+        assert got == ahead_counts_by_line(scores, smells, g)
+        assert got == _ahead_by_blending(scores, smells, g)
+
+
+class TestSegmentMemo:
+    """Segment stats memoized on (ahead counts, gold count) equal
+    _report_stats of the sorted gold ranks."""
+
+    def test_one_memo_over_two_systems(self):
+        rng = random.Random(808)
+        memo = {}
+        configs = enumerate_configs(TRIVIAL_SELECTORS)
+        for trial in range(2):
+            system, scores = random_system(rng, name=f"s{trial}")
+            reports = _reports(system, scores)
+            modules = sorted(system.modules)
+            for config in rng.sample(configs, 10):
+                norm_smell = normalized_smell(system, config)
+                smell_vec = [norm_smell[m] for m in modules]
+                assert _hex(_sweep_stats(reports, smell_vec, memo)) == _hex(
+                    sweep_stats_by_columns(reports, smell_vec)
+                )
+        assert memo
+        for (counts, gold_count), stats in memo.items():
+            assert stats == _report_stats(sorted(c + 1 for c in counts), gold_count)
+
+    def test_system_tasks_in_one_process_match_column_pooling(self):
+        rng = random.Random(909)
+        configs = tuple(enumerate_configs(TRIVIAL_SELECTORS)[::7])
+        for trial in range(2):
+            system, scores = random_system(rng, name=f"s{trial}", ensure_smells=True)
+            reports = _reports(system, scores)
+            modules = tuple(sorted(system.modules))
+            distinct, index = _system_task((system, scores, configs))
+            for config, d in zip(configs, index):
+                norm_smell = normalize(smell_values(modules, system.smells, config))
+                smell_vec = [norm_smell[m] for m in modules]
+                assert _hex(distinct[d]) == _hex(
+                    sweep_stats_by_columns(reports, smell_vec)
+                )
 
 
 class TestExactSweep:

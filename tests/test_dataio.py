@@ -292,6 +292,23 @@ class TestExternalScores:
         warnings = [r for r in caplog.records if "unknown bug id" in r.message]
         assert len(warnings) == 1
 
+    @pytest.mark.parametrize("line", [1, 2, 3000])
+    def test_bad_byte_names_its_line(self, tmp_path, line):
+        # Line 3000 lies well past the decoder's first chunk, so lines before
+        # it have been parsed when the error surfaces.
+        rows = [
+            b'{"bug": "B-1", "module": "m%d.java", "score": 0.5}\n' % i
+            for i in range(1, 3001)
+        ]
+        rows[line - 1] = b'{"bug": "B-1", "module": "\xc3(.java", "score": 0.5}\n'
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b"".join(rows))
+        with pytest.raises(ValueError) as info:
+            load_external_scores(path, "t")
+        assert str(info.value) == (
+            f"{path}:{line}: not valid UTF-8: invalid continuation byte"
+        )
+
     def test_non_finite_scores_pass_through(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text(
@@ -311,7 +328,7 @@ def _outcome(load, path):
     """What a loader makes of a dump: its score maps or its error message."""
     try:
         return _hex_map(load(path, "t", known_bugs=["B-1"]).by_bug)
-    except ValueError as exc:  # a duplicate (bug, module) pair
+    except ValueError as exc:  # a duplicate (bug, module) pair or a bad byte
         return str(exc)
 
 

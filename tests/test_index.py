@@ -198,6 +198,24 @@ class TestLengthFactor:
         rv = rvsm_score(query, idx)
         assert rv == {doc_id: factors[doc_id] * cos[doc_id] for doc_id in cos}
 
+    def test_factors_computed_once_per_index(self, monkeypatch):
+        import smelloc.index as index_module
+
+        idx = build_index(_random_corpus(random.Random(43), 6))
+        want = length_factor(idx)
+        calls = []
+        monkeypatch.setattr(
+            index_module, "length_factor", lambda i: calls.append(i) or want
+        )
+        for tokens in (("a1",), ("a2", "a3"), ("a1", "a4")):
+            query = _doc("q", *tokens)
+            cos = cosine_score(query, idx)
+            assert rvsm_score(query, idx) == {d: want[d] * cos[d] for d in cos}
+        assert calls == [idx]
+        # A rebuilt index computes its own factors.
+        rvsm_score(_doc("q", "a1"), build_index(_random_corpus(random.Random(43), 6)))
+        assert len(calls) == 2
+
 
 class TestRank:
     def test_orders_by_score_then_id(self):

@@ -8,9 +8,10 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smelloc.corpus import _stem_fixpoint
 from smelloc.stemming import stem
 
-from _oracles import PorterReference
+from _oracles import PorterReference, stem_by_scanning
 
 VECTORS = {
     # step 1a
@@ -152,3 +153,70 @@ def test_never_longer_and_tail_rewrites_only(word):
     # every rule strips or rewrites a suffix; at most the result's final
     # character can deviate from the input (y->i, the -e restorations)
     assert word.startswith(result[:-1])
+
+
+# Letters the rules and conditions single out, plus two plain consonants:
+# vowels, y (a vowel or a consonant by context), w and x (no cvc ending),
+# l, s, z (kept doubled) and the letters of every listed suffix.
+_PORTER_LETTERS = "aeiouywxlszbcdegmnrtv"
+
+
+def test_tables_match_scanning_stemmer_on_vectors():
+    ref = PorterReference()
+    for word in VECTORS:
+        assert stem(word) == stem_by_scanning(word) == ref.stem(word), word
+
+
+@settings(max_examples=3000)
+@given(st.text(alphabet=_PORTER_LETTERS, min_size=0, max_size=14))
+def test_tables_match_scanning_stemmer_on_porter_letters(word):
+    assert stem(word) == stem_by_scanning(word) == PorterReference().stem(word)
+
+
+_SUFFIXES = (
+    "ational", "tional", "enci", "anci", "izer", "bli", "alli", "entli", "eli",
+    "ousli", "ization", "ation", "ator", "alism", "iveness", "fulness",
+    "ousness", "aliti", "iviti", "biliti", "logi", "icate", "ative", "alize",
+    "iciti", "ical", "ful", "ness", "al", "ance", "ence", "er", "ic", "able",
+    "ible", "ant", "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
+    "ous", "ive", "ize", "sses", "ies", "ss", "s", "eed", "ed", "ing", "e",
+    "ll", "y",
+)
+
+
+@settings(max_examples=2000)
+@given(
+    st.text(alphabet=_PORTER_LETTERS, min_size=0, max_size=5),
+    st.lists(st.sampled_from(_SUFFIXES), min_size=1, max_size=3),
+)
+def test_tables_match_scanning_stemmer_on_suffix_stacks(base, suffixes):
+    word = base + "".join(suffixes)
+    assert stem(word) == stem_by_scanning(word)
+
+
+def _fixpoint_by_scanning(word):
+    while True:
+        stemmed = stem_by_scanning(word)
+        if stemmed == word:
+            return word
+        word = stemmed
+
+
+@settings(max_examples=500)
+@given(
+    st.text(alphabet=_PORTER_LETTERS, min_size=0, max_size=5),
+    st.lists(st.sampled_from(_SUFFIXES), min_size=0, max_size=4),
+)
+def test_memoized_fixpoint_matches_iterated_scanning_stemmer(base, suffixes):
+    word = base + "".join(suffixes)
+    assert _stem_fixpoint(word) == _fixpoint_by_scanning(word)
+    # Every stem on the way shares the memoized fixpoint.
+    step = word
+    while stem(step) != step:
+        step = stem(step)
+        assert _stem_fixpoint(step) == _fixpoint_by_scanning(word)
+
+
+def test_fixpoint_of_a_token_needing_more_passes_than_the_recursion_limit():
+    # Each pass strips one "ed", so the chain runs through "bed" + "ed" * 5.
+    assert _stem_fixpoint("bed" + "ed" * 1500) == _fixpoint_by_scanning("bed" + "ed" * 5)
