@@ -46,13 +46,6 @@ def _stopwords(args) -> frozenset[str]:
     return DEFAULT_STOPWORDS
 
 
-def _format(args, default: str = "csv") -> str:
-    fmt = getattr(args, "format", None) or default
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {fmt!r}")
-    return fmt
-
-
 def _jobs(args) -> int:
     jobs = getattr(args, "jobs", None)
     if jobs is None:
@@ -260,8 +253,6 @@ def cmd_combine(args) -> int:
         if not args.bugs:
             raise UsageError("--sweep needs --bugs for the gold sets")
         metric = args.metric or "map"
-        if metric not in STAT_METRICS:
-            raise UsageError(f"unknown metric {metric!r}")
         bug_ids = tuple(r.id for r in reports if r.id in scores.by_bug)
         if not bug_ids:
             raise UsageError("no bug report in --bugs has scores")
@@ -274,7 +265,7 @@ def cmd_combine(args) -> int:
         )
         result = combine.sweep_alpha(system, scores, config, metric)
         shape = combine.curve_shape(result)
-        if _format(args) == "json":
+        if args.format == "json":
             payload = {
                 "config": config.label(),
                 "metric": metric,
@@ -360,7 +351,7 @@ def cmd_evaluate(args) -> int:
     run_manifest = manifest.build_manifest(
         sys.argv[1:], inputs, config_path=args.run_config
     )
-    if _format(args, default="json") == "json":
+    if args.format in (None, "json"):
         payload = {
             "reports": len(outcomes),
             "top": {str(n): report.top[n] for n in sorted(report.top)},
@@ -485,12 +476,13 @@ def cmd_risk(args) -> int:
 
 def cmd_config_search(args) -> int:
     from . import combine, risk
+    from .smells import SELECTOR_NAMES
 
     pairs = []
     for desc_path in args.systems:
         descriptor = dataio.load_descriptor(_require_file(desc_path, "descriptor"))
-        snapshot = dataio.load_system(descriptor, jobs=_jobs(args))
-        pairs.append(dataio.prepare_system(snapshot, args.technique))
+        snapshot = dataio.load_system(descriptor)
+        pairs.append(dataio.prepare_system(snapshot, args.technique, jobs=_jobs(args)))
     kept, validation = dataio.filter_dataset(pairs)
     for line in validation.to_text().splitlines():
         logger.info("%s", line)
@@ -500,10 +492,10 @@ def cmd_config_search(args) -> int:
         if args.selectors
         else risk.pooled_selectors(system for system, _ in kept)
     )
-    missing = [s for s in ("s1", "s2", "s3", "s4", "s5") if s not in selectors]
+    missing = [s for s in SELECTOR_NAMES if s not in selectors]
     if missing:
         raise UsageError(f"selector sets missing: {missing}")
-    empty = [s for s in ("s2", "s3", "s4", "s5") if not selectors[s]]
+    empty = [s for s in SELECTOR_NAMES[1:] if not selectors[s]]
     if empty:
         raise UsageError(
             f"derived selector sets are empty: {empty}; "
@@ -520,7 +512,7 @@ def cmd_config_search(args) -> int:
     run_manifest = manifest.build_manifest(
         sys.argv[1:], inputs, config_path=args.run_config
     )
-    if _format(args) == "json":
+    if args.format == "json":
         payload = {
             "technique": report.technique,
             "systems": list(report.systems),

@@ -29,6 +29,7 @@ from .smells import (
     BOTH_GRANULARITIES,
     CLASS_GRANULARITY,
     METHOD_GRANULARITY,
+    SELECTOR_NAMES,
     SMELL_TYPES,
     SmellConfiguration,
     SmellInstance,
@@ -48,12 +49,6 @@ GRANULARITY_LABELS = {
     "g3": BOTH_GRANULARITIES,
 }
 LABEL_BY_GRANULARITY = {v: k for k, v in GRANULARITY_LABELS.items()}
-
-# Shapes of a metric-versus-alpha curve, judged by where the maximizers sit:
-# "flat" means every grid point ties, "baseline" means alpha 0 is already
-# optimal, "plateau" means the optimum persists through alpha 1, and
-# "mountain" means the optimum is interior only.
-CURVE_SHAPES = ("flat", "baseline", "plateau", "mountain")
 
 
 @dataclass(frozen=True)
@@ -446,7 +441,12 @@ def optimize_alpha(result: AlphaSweepResult) -> float:
 
 
 def curve_shape(result: AlphaSweepResult) -> str:
-    """Classify a sweep curve by where its maximizers lie."""
+    """Classify a sweep curve by where its maximizers lie.
+
+    "flat": every grid point ties. "baseline": alpha 0 is already optimal.
+    "plateau": the optimum persists through alpha 1. "mountain": the
+    optimum is interior only.
+    """
     best = set(result.best_alphas)
     if len(best) == len(ALPHA_GRID):
         return "flat"
@@ -502,7 +502,7 @@ def enumerate_configs(
     configs = []
     for g_label in ("g1", "g2", "g3"):
         for aggregator in AGGREGATORS:
-            for s_label in ("s1", "s2", "s3", "s4", "s5"):
+            for s_label in SELECTOR_NAMES:
                 configs.append(make_config(g_label, aggregator, s_label, selectors))
     if include_single_type:
         for smell_type in SMELL_TYPES:

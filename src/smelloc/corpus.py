@@ -8,7 +8,6 @@ literals contribute tokens too.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,8 +15,6 @@ from typing import Iterable, Sequence
 
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_EXTENSIONS = (".java",)
 
@@ -116,13 +113,14 @@ def _read_file(path: Path) -> str:
         return fh.read()
 
 
-def _process_file(args: tuple[str, str, frozenset[str]]) -> TokenDocument | None:
+def _process_file(args: tuple[str, str, frozenset[str]]) -> TokenDocument:
     path_str, doc_id, stopwords = args
     try:
         text = _read_file(Path(path_str))
     except OSError as exc:
-        logger.warning("skipping unreadable file %s: %s", path_str, exc)
-        return None
+        # A module that cannot be read would drop out of the universe that
+        # source_files defines, so the whole run stops instead.
+        raise ValueError(f"{path_str}: cannot read: {exc.strerror or exc}") from None
     return TokenDocument(id=doc_id, tokens=tokenize_text(text, stopwords))
 
 
@@ -153,11 +151,11 @@ def build_corpus(
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     jobs: int = 1,
 ) -> list[TokenDocument]:
-    """Tokenize every matching file under a snapshot root, in path order.
+    """Tokenize every file source_files lists under a snapshot root, in order.
 
-    Unreadable files are logged and skipped. With jobs > 1 files are
-    processed in parallel; results are merged back into lexicographic path
-    order, so the corpus is identical for any job count.
+    A file that cannot be read raises ValueError naming its path. With
+    jobs > 1 files are processed in parallel; results are merged back into
+    module id order, so the corpus is identical for any job count.
     """
     work = [
         (str(path), doc_id, stopwords)
@@ -167,10 +165,8 @@ def build_corpus(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_process_file, work))
-    else:
-        results = [_process_file(item) for item in work]
-    return [doc for doc in results if doc is not None]
+            return list(pool.map(_process_file, work))
+    return [_process_file(item) for item in work]
 
 
 def build_query(bug, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> TokenDocument:

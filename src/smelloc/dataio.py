@@ -1,13 +1,14 @@
 """Loading, validation, and filtering of localization datasets.
 
 A system is one project version: a source snapshot, its bug reports with
-gold sets, a smell report, and optional external technique scores. Loaded,
-it is a SystemSnapshot; scored by one technique, it is the pair
-(combine.System, combine.TechniqueScores) that filtering and the
-configuration search take. Filtering applies the selection protocol in a
-fixed order: first bug reports whose ranking is unusable under the
-technique, then systems without any smell instance, then systems left with
-fewer than five reports. Every exclusion is recorded with exactly one reason.
+gold sets, a smell report, and optional external technique scores; its
+modules are the snapshot's corpus.source_files. Loaded, it is a
+SystemSnapshot; scored by one technique, it is the pair (combine.System,
+combine.TechniqueScores) that filtering and the configuration search take.
+Filtering applies the selection protocol in a fixed order: first bug
+reports whose ranking is unusable under the technique, then systems without
+any smell instance, then systems left with fewer than five reports. Every
+exclusion is recorded with exactly one reason.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import TokenDocument, build_corpus, build_query
+from .corpus import build_corpus, build_query, source_files
 from .index import ScoredRanking, TermIndex, build_index, cosine_score, rvsm_score
 from .stopwords import DEFAULT_STOPWORDS, read_utf8, utf8_error
 
@@ -75,15 +76,14 @@ class SystemDescriptor:
 
 @dataclass(frozen=True)
 class SystemSnapshot:
-    """One system loaded into memory, before any technique scores it."""
+    """One system's reports and smells over its modules; the source text and
+    score dumps stay at the descriptor's paths until prepare_system."""
 
+    descriptor: SystemDescriptor
     name: str
     modules: tuple[str, ...]
-    corpus: tuple[TokenDocument, ...]
     reports: tuple[BugReport, ...]
     smells: tuple[SmellInstance, ...]
-    external_scores: dict[str, combine.TechniqueScores]
-    stopwords: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,8 @@ def load_external_scores(
     """
     by_bug: dict[str, dict[str, float]] = {}
     known = set(known_bugs) if known_bugs is not None else None
-    # Streamed, not read whole: a bad byte stops the decoder, and only then
-    # is the file scanned again to name the line.
+    # Streamed, not read whole: only an error makes the file be read again,
+    # to name a bad byte's line.
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -280,6 +280,11 @@ def load_external_scores(
                 modules[module] = score
     except UnicodeDecodeError:
         raise utf8_error(path) from None
+    except ValueError:
+        # A bad byte anywhere wins over a bad entry, as in the other loaders,
+        # wherever the decoder's chunk boundary fell.
+        read_utf8(path)
+        raise
     from . import combine
 
     return combine.TechniqueScores(technique=technique, by_bug=by_bug)
@@ -345,19 +350,15 @@ def load_descriptor(path: str | Path) -> SystemDescriptor:
     )
 
 
-def load_system(
-    descriptor: SystemDescriptor,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    jobs: int = 1,
-) -> SystemSnapshot:
-    """Load and cross-check one system's inputs.
+def load_system(descriptor: SystemDescriptor) -> SystemSnapshot:
+    """Load and cross-check one system's bug reports and smell report.
 
-    Gold modules or smelly modules missing from the snapshot are warned
-    about but kept: external techniques may rank artifacts the corpus
-    skipped, and the risk analysis validates its own universe.
+    The modules are the snapshot's source files, listed but not read. Gold
+    modules or smelly modules missing from the snapshot are warned about
+    but kept: external techniques may rank artifacts outside it, and the
+    risk analysis validates its own universe.
     """
-    corpus = build_corpus(descriptor.snapshot_path, stopwords=stopwords, jobs=jobs)
-    modules = tuple(doc.id for doc in corpus)
+    modules = tuple(doc_id for doc_id, _ in source_files(descriptor.snapshot_path))
     module_set = set(modules)
     reports = load_bug_reports(descriptor.bug_reports_path)
     for report in reports:
@@ -379,20 +380,7 @@ def load_system(
             len(stray_smelly),
             sorted(stray_smelly)[0],
         )
-    known = [r.id for r in reports]
-    external = {
-        name: load_external_scores(path, name, known_bugs=known)
-        for name, path in descriptor.external_score_paths.items()
-    }
-    return SystemSnapshot(
-        name=descriptor.name,
-        modules=modules,
-        corpus=corpus if isinstance(corpus, tuple) else tuple(corpus),
-        reports=reports,
-        smells=smells,
-        external_scores=external,
-        stopwords=stopwords,
-    )
+    return SystemSnapshot(descriptor, descriptor.name, modules, reports, smells)
 
 
 def native_scores(
@@ -412,23 +400,30 @@ def native_scores(
         yield report.id, scorer(build_query(report, stopwords), term_index)
 
 
-def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
+def prepare_system(
+    snapshot: SystemSnapshot, technique: str, jobs: int = 1
+) -> ScoredSystem:
     """Score one system under one technique, over that technique's universe.
 
-    Native techniques rank exactly the snapshot modules. External score
-    files may mention extra modules; those stay in that technique's universe,
-    and universe modules the file skips score 0 (they rank at the bottom).
+    Only what the technique scores is read: the source files, tokenized by
+    jobs workers, for a native technique, which ranks exactly the snapshot
+    modules; the technique's own dump for an external one. That dump may
+    mention extra modules; those stay in its universe, and universe modules
+    it skips score 0 (they rank at the bottom).
     """
     from . import combine
 
+    descriptor = snapshot.descriptor
     if technique in NATIVE_TECHNIQUES:
         universe = snapshot.modules
-        term_index = build_index(snapshot.corpus)
-        by_bug = dict(
-            native_scores(term_index, snapshot.reports, technique, snapshot.stopwords)
+        corpus = build_corpus(descriptor.snapshot_path, jobs=jobs)
+        by_bug = dict(native_scores(build_index(corpus), snapshot.reports, technique))
+    elif technique in descriptor.external_score_paths:
+        raw = load_external_scores(
+            descriptor.external_score_paths[technique],
+            technique,
+            known_bugs=[r.id for r in snapshot.reports],
         )
-    elif technique in snapshot.external_scores:
-        raw = snapshot.external_scores[technique]
         extra = {
             m for scores in raw.by_bug.values() for m in scores
         } - set(snapshot.modules)

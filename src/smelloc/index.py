@@ -28,8 +28,8 @@ _CACHE_VERSION = 1
 class TermIndex:
     """Immutable TF-IDF index over one corpus snapshot.
 
-    postings and doc_norms are derived from doc_vectors at build time so
-    queries touch only the documents that share a term.
+    postings and doc_norms are derived from doc_vectors (``_from_vectors``)
+    so queries touch only the documents that share a term.
     """
 
     vocabulary: dict[str, int]
@@ -90,8 +90,6 @@ def build_index(corpus: Sequence[TokenDocument]) -> TermIndex:
         doc_lengths[doc.id] = len(doc.tokens)
 
     doc_vectors: dict[str, dict[int, float]] = {}
-    doc_norms: dict[str, float] = {}
-    posting_lists: dict[int, list[tuple[str, float]]] = {}
     for doc_id, counts in tfs.items():
         vec: dict[int, float] = {}
         for tid, tf in counts.items():
@@ -99,17 +97,31 @@ def build_index(corpus: Sequence[TokenDocument]) -> TermIndex:
             weight = (1.0 + math.log(tf)) * idf
             if weight != 0.0:
                 vec[tid] = weight
-                posting_lists.setdefault(tid, []).append((doc_id, weight))
         doc_vectors[doc_id] = vec
+    return _from_vectors(vocabulary, tuple(df_counts), doc_vectors, doc_lengths)
+
+
+def _from_vectors(
+    vocabulary: dict[str, int],
+    doc_freq: tuple[int, ...],
+    doc_vectors: dict[str, dict[int, float]],
+    doc_lengths: dict[str, int],
+) -> TermIndex:
+    """The index of these vectors; norms and postings follow their order, so
+    a built and a loaded index hold the same floats in the same order."""
+    doc_norms: dict[str, float] = {}
+    posting_lists: dict[int, list[tuple[str, float]]] = {}
+    for doc_id, vec in doc_vectors.items():
         doc_norms[doc_id] = math.sqrt(math.fsum(w * w for w in vec.values()))
-    postings = {tid: tuple(entries) for tid, entries in posting_lists.items()}
+        for tid, weight in vec.items():
+            posting_lists.setdefault(tid, []).append((doc_id, weight))
     return TermIndex(
         vocabulary=vocabulary,
-        doc_freq=tuple(df_counts),
+        doc_freq=doc_freq,
         doc_vectors=doc_vectors,
         doc_lengths=doc_lengths,
         doc_norms=doc_norms,
-        postings=postings,
+        postings={tid: tuple(entries) for tid, entries in posting_lists.items()},
     )
 
 
@@ -246,19 +258,4 @@ def load_index(path: str | Path, corpus_digest: str | None = None) -> TermIndex:
             f"stale index cache {path}: built from other files or other "
             "tokenizer settings than the current corpus"
         )
-    doc_norms = {
-        doc_id: math.sqrt(math.fsum(w * w for w in vec.values()))
-        for doc_id, vec in doc_vectors.items()
-    }
-    posting_lists: dict[int, list[tuple[str, float]]] = {}
-    for doc_id, vec in doc_vectors.items():
-        for tid, weight in vec.items():
-            posting_lists.setdefault(tid, []).append((doc_id, weight))
-    return TermIndex(
-        vocabulary=vocabulary,
-        doc_freq=doc_freq,
-        doc_vectors=doc_vectors,
-        doc_lengths=doc_lengths,
-        doc_norms=doc_norms,
-        postings={tid: tuple(v) for tid, v in posting_lists.items()},
-    )
+    return _from_vectors(vocabulary, doc_freq, doc_vectors, doc_lengths)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .smells import ALL_TYPE_NAMES, SmellInstance
+from .smells import ALL_TYPE_NAMES, SELECTOR_NAMES, SmellInstance
 
 if TYPE_CHECKING:
     from .combine import System
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 TOTAL_ROW_NAME = "Total"
-SELECTOR_NAMES = ("s1", "s2", "s3", "s4", "s5")
 
 
 @dataclass(frozen=True)
@@ -174,13 +173,8 @@ def derive_selectors(table: RiskTable) -> dict[str, frozenset[str]]:
             logger.warning(
                 "relative-risk tie at the top-five cut; keeping %d types", len(s5)
             )
-    return {
-        "s1": frozenset(ALL_TYPE_NAMES),
-        "s2": frozenset(s2),
-        "s3": frozenset(s3),
-        "s4": frozenset(s4),
-        "s5": frozenset(s5),
-    }
+    sets = (ALL_TYPE_NAMES, s2, s3, s4, s5)
+    return {name: frozenset(types) for name, types in zip(SELECTOR_NAMES, sets)}
 
 
 def pooled_selectors(systems: Iterable[System]) -> dict[str, frozenset[str]]:

@@ -21,6 +21,9 @@ GRANULARITIES = (CLASS_GRANULARITY, METHOD_GRANULARITY, BOTH_GRANULARITIES)
 
 AGGREGATORS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10")
 
+# s1 selects every smell type; risk.derive_selectors defines s2-s5.
+SELECTOR_NAMES = ("s1", "s2", "s3", "s4", "s5")
+
 
 @dataclass(frozen=True)
 class SmellType:
@@ -142,11 +145,16 @@ def _per_type(instances: Sequence[SmellInstance]) -> dict[str, list[int]]:
     return groups
 
 
+def _mean(values: Sequence[int]) -> float:
+    # int / int rounds the exact mean once, as statistics.mean's Fractions do.
+    return sum(values) / len(values)
+
+
 def _aggregator(aggregator: str) -> Callable[[Sequence[SmellInstance]], float]:
     """The function behind an aggregator label, for nonempty instance lists.
 
-    Only a5-a10 need ``statistics``; it is imported here, once per chosen
-    aggregator, so commands that never average load none of it.
+    Only the medians need ``statistics``; it is imported here, once per
+    chosen aggregator, so commands that never take one load none of it.
     """
     if aggregator not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {aggregator!r}")
@@ -158,9 +166,10 @@ def _aggregator(aggregator: str) -> Callable[[Sequence[SmellInstance]], float]:
         return lambda instances: 1.0
     if aggregator == "a4":
         return lambda instances: float(len(instances))
-    import statistics
-
-    center = statistics.mean if aggregator in ("a5", "a7", "a9") else statistics.median
+    if aggregator in ("a5", "a7", "a9"):
+        center = _mean
+    else:
+        from statistics import median as center
     if aggregator in ("a5", "a6"):
         return lambda instances: float(center([i.severity for i in instances]))
     per_type = max if aggregator in ("a7", "a8") else len

@@ -735,8 +735,7 @@ def load_external_scores_by_json_loads(path, technique, known_bugs=None):
     later instead of this loader repairing them silently. Duplicate
     (bug, module) pairs are an error; bug ids outside known_bugs only warn.
     The whole file is decoded first, so a bad byte anywhere is reported
-    before any bad entry, as the streaming loader does for a file within
-    its decoder's first chunk.
+    before any bad entry, as the streaming loader does too.
     """
     by_bug: dict[str, dict[str, float]] = {}
     known = set(known_bugs) if known_bugs is not None else None

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from smelloc import corpus as corpus_mod
 from smelloc.combine import System, TechniqueScores
 from smelloc.smells import (
     CLASS_SMELL_TYPES,
@@ -363,3 +364,21 @@ def write_java_system(directory: Path) -> dict[str, Path]:
 @pytest.fixture
 def java_system(tmp_path):
     return write_java_system(tmp_path)
+
+
+@pytest.fixture
+def vanished_source(monkeypatch):
+    """Make corpus.source_files list a Gone.java that no longer exists.
+
+    Reading it fails as reading any unreadable source file does, also for
+    root and in every worker process, since the list is made before the
+    work is handed out. Returns the missing file's module id.
+    """
+    real = corpus_mod.source_files
+
+    def listing(root, *args, **kwargs):
+        gone = ("Gone.java", Path(root) / "Gone.java")
+        return sorted(real(root, *args, **kwargs) + [gone])
+
+    monkeypatch.setattr(corpus_mod, "source_files", listing)
+    return "Gone.java"

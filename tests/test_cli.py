@@ -15,7 +15,7 @@ from smelloc.cli import main
 from smelloc.index import load_index
 from smelloc.smells import ALL_TYPE_NAMES
 
-from conftest import HBASE_SCORES
+from conftest import HBASE_SCORES, JAVA_BUGS, JAVA_SNAPSHOT
 
 
 def _read_jsonl(path):
@@ -970,6 +970,54 @@ class TestConfigSearchCommand:
         )
         assert rc == 2
         assert "unknown technique" in capsys.readouterr().err
+
+    def test_external_technique_reads_only_its_dump(self, java_system, tmp_path,
+                                                    monkeypatch):
+        from smelloc import dataio
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an external technique tokenized the snapshot")
+
+        monkeypatch.setattr(dataio, "build_corpus", unread)
+        root = java_system["root"]
+        (root / "ext.jsonl").write_text("".join(
+            json.dumps({"bug": b["id"], "module": m, "score": float(m in b["gold"])})
+            + "\n"
+            for b in JAVA_BUGS for m in JAVA_SNAPSHOT
+        ))
+        (root / "broken.jsonl").write_text("{not json\n")
+        rec = json.loads(java_system["descriptor"].read_text())
+        rec["scores"] = {"ext": "ext.jsonl", "broken": "broken.jsonl"}
+        descriptor = root / "ext.json"
+        descriptor.write_text(json.dumps(rec))
+        out = tmp_path / "search.csv"
+        rc = main(["config-search", "--systems", str(descriptor), "--technique", "ext",
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(_read_csv(out)) == 152
+
+
+class TestUnreadableSource:
+    """A source file that cannot be read ends every command that tokenizes
+    the snapshot with exit 2 and the file's path, at any --jobs."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["index", "rank", "config-search"])
+    def test_exits_2_naming_the_file(self, java_system, tmp_path, capsys,
+                                     vanished_source, command, jobs):
+        src = java_system["src"]
+        argv = {
+            "index": ["index", "--snapshot", str(src)],
+            "rank": ["rank", "--technique", "vsm", "--bugs", str(java_system["bugs"]),
+                     "--snapshot", str(src)],
+            "config-search": ["config-search", "--systems",
+                              str(java_system["descriptor"]), "--technique", "rvsm"],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src / vanished_source}: cannot read: "), err
+        assert not out.exists()
 
 
 class TestConvertCommand:

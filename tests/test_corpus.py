@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import logging
+import errno
 import random
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,21 +191,25 @@ class TestBuildCorpus:
         docs = build_corpus(tmp_path)
         assert "alpha" in docs[0].tokens and "beta" in docs[0].tokens
 
-    def test_unreadable_file_skipped_with_warning(self, tmp_path, monkeypatch, caplog):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unreadable_file_raises_naming_it(self, tmp_path, vanished_source, jobs):
+        # Skipping it would drop a module that source_files lists.
         (tmp_path / "A.java").write_text("class Alpha {}", encoding="utf-8")
         (tmp_path / "B.java").write_text("class Beta {}", encoding="utf-8")
-        real = corpus_mod._read_file
+        with pytest.raises(ValueError) as err:
+            build_corpus(tmp_path, jobs=jobs)
+        assert str(err.value).startswith(f"{tmp_path / vanished_source}: cannot read: ")
 
-        def flaky(path):
-            if path.name == "A.java":
-                raise OSError("synthetic read failure")
-            return real(path)
+    def test_read_error_names_the_os_reason(self, tmp_path, monkeypatch):
+        (tmp_path / "A.java").write_text("class Alpha {}", encoding="utf-8")
 
-        monkeypatch.setattr(corpus_mod, "_read_file", flaky)
-        with caplog.at_level(logging.WARNING):
-            docs = build_corpus(tmp_path)
-        assert [d.id for d in docs] == ["B.java"]
-        assert any("A.java" in r.message for r in caplog.records)
+        def denied(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(corpus_mod, "_read_file", denied)
+        with pytest.raises(ValueError) as err:
+            build_corpus(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'A.java'}: cannot read: Permission denied"
 
     def test_source_files_in_module_id_order(self, tmp_path):
         for rel in ("b/Z.java", "a/Y.JAVA", "a/X.txt", "C.java"):

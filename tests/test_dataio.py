@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smelloc import combine
+from smelloc import combine, dataio
 from smelloc.cli import main
+from smelloc.corpus import source_files
 from smelloc.dataio import (
     REASON_MISSING,
     REASON_NAN,
@@ -309,6 +310,21 @@ class TestExternalScores:
             f"{path}:{line}: not valid UTF-8: invalid continuation byte"
         )
 
+    @pytest.mark.parametrize("extra", [0, 400])
+    def test_bad_byte_wins_over_an_earlier_duplicate(self, tmp_path, extra):
+        # With 400 more lines the bad byte lies past the decoder's first
+        # chunk, so the duplicate on line 2 is parsed before it surfaces.
+        row = b'{"bug": "B-1", "module": "m%d.java", "score": 0.5}\n'
+        rows = [row % 0, row % 0] + [row % i for i in range(1, 3 + extra)]
+        rows.append(b'{"bug": "B-1", "module": "\xff.java", "score": 0.5}\n')
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b"".join(rows))
+        want = f"{path}:{5 + extra}: not valid UTF-8: invalid start byte"
+        for load in (load_external_scores, load_external_scores_by_json_loads):
+            with pytest.raises(ValueError) as info:
+                load(path, "t")
+            assert str(info.value) == want
+
     def test_non_finite_scores_pass_through(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text(
@@ -550,7 +566,16 @@ class TestDescriptorAndSystem:
         assert set(snapshot.modules) == set(JAVA_SNAPSHOT)
         assert len(snapshot.reports) == 5
         assert len(snapshot.smells) == 4
-        assert snapshot.external_scores == {}
+
+    def test_load_system_reads_no_source_text_and_no_dump(self, java_system,
+                                                          monkeypatch):
+        _forbid(monkeypatch, "build_corpus", "load_external_scores")
+        descriptor = load_descriptor(_with_dumps(java_system, ext="{not json\n"))
+        snapshot = load_system(descriptor)
+        assert snapshot.descriptor == descriptor
+        assert snapshot.modules == tuple(
+            doc_id for doc_id, _ in source_files(java_system["src"])
+        )
 
     def test_load_system_warns_on_stray_gold(self, java_system, caplog):
         bugs = json.loads(java_system["bugs"].read_text())
@@ -561,6 +586,28 @@ class TestDescriptorAndSystem:
         assert any("gold modules not in snapshot" in r.message for r in caplog.records)
         # The stray module is kept on the report, not repaired away.
         assert "com/app/Ghost.java" in snapshot.reports[0].gold
+
+
+def _forbid(monkeypatch, *names):
+    """Make each named dataio reader fail the test when it is called."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"called one of {names}")
+
+    for name in names:
+        monkeypatch.setattr(dataio, name, called)
+
+
+def _with_dumps(java_system, **dumps):
+    """A descriptor for java_system naming a score dump per keyword, each
+    written with the given text; returns the descriptor's path."""
+    root = java_system["root"]
+    for name, text in dumps.items():
+        (root / f"{name}.jsonl").write_text(text, encoding="utf-8")
+    rec = json.loads(java_system["descriptor"].read_text())
+    rec["scores"] = {name: f"{name}.jsonl" for name in dumps}
+    path = root / "with-dumps.json"
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    return path
 
 
 class TestPrepareSystem:
@@ -636,6 +683,27 @@ class TestPrepareSystem:
         snapshot = load_system(load_descriptor(java_system["descriptor"]))
         with pytest.raises(ValueError, match="unknown technique 'whatever'"):
             prepare_system(snapshot, "whatever")
+
+    def test_external_technique_reads_only_its_own_dump(self, java_system,
+                                                        monkeypatch):
+        _forbid(monkeypatch, "build_corpus")
+        good = "".join(
+            json.dumps({"bug": r["id"], "module": m, "score": 0.5}) + "\n"
+            for r in JAVA_BUGS for m in JAVA_SNAPSHOT
+        )
+        path = _with_dumps(java_system, ext=good, broken="{not json\n")
+        snapshot = load_system(load_descriptor(path))
+        system, scores = prepare_system(snapshot, "ext")
+        assert system.modules == snapshot.modules
+        assert set(scores.by_bug) == {r["id"] for r in JAVA_BUGS}
+        with pytest.raises(ValueError, match=r"broken\.jsonl:1: bad score entry"):
+            prepare_system(snapshot, "broken")
+
+    def test_native_technique_reads_no_dump(self, java_system, monkeypatch):
+        _forbid(monkeypatch, "load_external_scores")
+        path = _with_dumps(java_system, broken="{not json\n")
+        system, _ = prepare_system(load_system(load_descriptor(path)), "vsm", jobs=2)
+        assert system.modules == tuple(sorted(JAVA_SNAPSHOT))
 
 
 class TestValidateRanking:

@@ -254,6 +254,17 @@ class TestCache:
         assert loaded.doc_vectors == idx.doc_vectors
         assert loaded.doc_lengths == idx.doc_lengths
         assert loaded.doc_norms == idx.doc_norms
+
+        def hexed(index):
+            norms = [(doc_id, n.hex()) for doc_id, n in index.doc_norms.items()]
+            postings = [
+                (tid, [(doc_id, w.hex()) for doc_id, w in entries])
+                for tid, entries in index.postings.items()
+            ]
+            return norms, postings
+
+        # Same floats in the same order, so scores add up the same way.
+        assert hexed(loaded) == hexed(idx)
         query = _doc("q", *corpus[0].tokens[:4])
         assert cosine_score(query, loaded) == cosine_score(query, idx)
         assert rvsm_score(query, loaded) == rvsm_score(query, idx)

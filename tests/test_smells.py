@@ -202,6 +202,36 @@ class TestAggregate:
         # Integer severities keep mean/median exact, so equality is exact.
         assert aggregate(shuffled, agg) == aggregate(instances, agg)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CLASS_SMELL_TYPES + METHOD_SMELL_TYPES),
+                st.integers(min_value=1, max_value=10),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_means_equal_statistics_mean_by_float_hex(self, rows):
+        instances = [
+            _meth(t, "A.java", sev) if t.granularity == METHOD_GRANULARITY
+            else _cls(t, "A.java", sev)
+            for t, sev in rows
+        ]
+        per_type: dict[str, list[int]] = {}
+        for t, sev in rows:
+            per_type.setdefault(t.name, []).append(sev)
+        values = {
+            "a5": [sev for _, sev in rows],
+            "a7": [max(sevs) for sevs in per_type.values()],
+            "a9": [len(sevs) for sevs in per_type.values()],
+        }
+        for agg, ints in values.items():
+            cfg = SmellConfiguration(BOTH_GRANULARITIES, agg, ALL_TYPE_NAMES)
+            got = smell_values(["A.java"], instances, cfg)["A.java"]
+            assert got.hex() == float(statistics.mean(ints)).hex(), agg
+
     def test_existence_flag_ignores_severity(self):
         low = [_cls(BLOB, "A.java", 1)]
         high = [_cls(BLOB, "A.java", 10), _cls(GOD, "A.java", 10)]
