@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
-import traceback
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import dataio, manifest
+from . import dataio, log, manifest
 from .corpus import build_corpus, source_files
 from .index import TermIndex, build_index, corpus_hash, load_index, rank, save_index
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords, read_utf8
+from .stopwords import DEFAULT_STOPWORDS, load_stopwords, read_json, read_utf8
 
-logger = logging.getLogger(__name__)
+logger = log.get_logger(__name__)
 
 STAT_METRICS = ("top1", "top5", "top10", "mrr", "map")
 
@@ -78,10 +76,7 @@ def _load_selectors(path: str | None) -> dict[str, frozenset[str]]:
 
     if not path:
         return {"s1": ALL_TYPE_NAMES}
-    try:
-        raw = json.loads(read_utf8(_require_file(path, "selectors")))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    raw = read_json(_require_file(path, "selectors"))
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: selectors must be a JSON object")
     # Files written by the risk command carry a manifest block alongside
@@ -740,10 +735,7 @@ def _run_config_defaults(
     or false; any other flag takes one string or number, read as if typed
     after the flag.
     """
-    try:
-        cfg = json.loads(read_utf8(_require_file(path, "run config")))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    cfg = read_json(_require_file(path, "run config"))
     if not isinstance(cfg, dict):
         raise UsageError(f"{path}: run config must be a JSON object")
     actions = _flag_dests(command)
@@ -798,18 +790,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.run_config:
             args = _apply_run_config(parser, args, argv)
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        log.configure(args.verbose)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive
+        import traceback
+
         traceback.print_exc()
         return 1
 

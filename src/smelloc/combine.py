@@ -18,12 +18,13 @@ and compares the blended floats directly only next to a crossing.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import Mapping, Sequence
 
+from .dataio import TechniqueScores
+from .log import get_logger
 from .smells import (
     AGGREGATORS,
     BOTH_GRANULARITIES,
@@ -37,7 +38,7 @@ from .smells import (
     smell_values,
 )
 
-logger = logging.getLogger(__name__)
+logger = get_logger(__name__)
 
 ALPHA_GRID: tuple[float, ...] = tuple(i / 100 for i in range(101))
 
@@ -60,14 +61,6 @@ class System:
     bug_ids: tuple[str, ...]
     gold: Mapping[str, frozenset[str]]
     smells: tuple[SmellInstance, ...]
-
-
-@dataclass(frozen=True)
-class TechniqueScores:
-    """Raw per-bug score maps emitted by one localization technique."""
-
-    technique: str
-    by_bug: Mapping[str, Mapping[str, float]]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ literals contribute tokens too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
@@ -19,8 +18,7 @@ from .stopwords import DEFAULT_STOPWORDS
 DEFAULT_EXTENSIONS = (".java",)
 
 
-@dataclass(frozen=True)
-class TokenDocument:
+class TokenDocument(NamedTuple):
     """A preprocessed document: ordered lowercase stemmed terms."""
 
     id: str

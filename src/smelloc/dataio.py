@@ -4,7 +4,7 @@ A system is one project version: a source snapshot, its bug reports with
 gold sets, a smell report, and optional external technique scores; its
 modules are the snapshot's corpus.source_files. Loaded, it is a
 SystemSnapshot; scored by one technique, it is the pair (combine.System,
-combine.TechniqueScores) that filtering and the configuration search take.
+TechniqueScores) that filtering and the configuration search take.
 Filtering applies the selection protocol in a fixed order: first bug
 reports whose ranking is unusable under the technique, then systems without
 any smell instance, then systems left with fewer than five reports. Every
@@ -14,24 +14,23 @@ exclusion is recorded with exactly one reason.
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import build_corpus, build_query, source_files
 from .index import ScoredRanking, TermIndex, build_index, cosine_score, rvsm_score
-from .stopwords import DEFAULT_STOPWORDS, read_utf8, utf8_error
+from .log import get_logger
+from .stopwords import DEFAULT_STOPWORDS, read_json, read_utf8, utf8_error
 
 if TYPE_CHECKING:
     from . import combine
     from .smells import SmellInstance
 
     # One system scored by one technique: what filtering and the search take.
-    ScoredSystem = tuple[combine.System, combine.TechniqueScores]
+    ScoredSystem = tuple[combine.System, TechniqueScores]
 
-logger = logging.getLogger(__name__)
+logger = get_logger(__name__)
 
 NATIVE_TECHNIQUES = ("vsm", "rvsm")
 
@@ -44,38 +43,42 @@ REASON_TOO_FEW = "fewer-than-5-reports"
 MIN_REPORTS = 5
 
 
-@dataclass(frozen=True)
-class BugReport:
+class _BugReportFields(NamedTuple):
     id: str
     summary: str
     description: str
     gold: frozenset[str]
 
-    def __post_init__(self):
-        if not self.id:
+
+class BugReport(_BugReportFields):
+    __slots__ = ()
+
+    def __new__(cls, id: str, summary: str, description: str, gold: frozenset[str]):
+        if not id:
             raise ValueError("bug report needs a nonempty id")
-        if not self.gold:
-            raise ValueError(f"bug report {self.id!r} has an empty gold set")
+        if not gold:
+            raise ValueError(f"bug report {id!r} has an empty gold set")
+        return super().__new__(cls, id, summary, description, gold)
 
 
-@dataclass(frozen=True)
-class SystemDescriptor:
-    """Where one system's inputs live on disk."""
+class SystemDescriptor(NamedTuple):
+    """Where one system's inputs live on disk, as the descriptor file at
+    path names them."""
 
+    path: Path
     project: str
     version: str
     snapshot_path: Path
     bug_reports_path: Path
     smell_report_path: Path
-    external_score_paths: dict[str, Path] = field(default_factory=dict)
+    external_score_paths: dict[str, Path]
 
     @property
     def name(self) -> str:
         return f"{self.project}-{self.version}"
 
 
-@dataclass(frozen=True)
-class SystemSnapshot:
+class SystemSnapshot(NamedTuple):
     """One system's reports and smells over its modules; the source text and
     score dumps stay at the descriptor's paths until prepare_system."""
 
@@ -86,21 +89,25 @@ class SystemSnapshot:
     smells: tuple[SmellInstance, ...]
 
 
-@dataclass(frozen=True)
-class ExcludedReport:
+class TechniqueScores(NamedTuple):
+    """Raw per-bug score maps emitted by one localization technique."""
+
+    technique: str
+    by_bug: Mapping[str, Mapping[str, float]]
+
+
+class ExcludedReport(NamedTuple):
     system: str
     bug_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ExcludedSystem:
+class ExcludedSystem(NamedTuple):
     system: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     excluded_reports: tuple[ExcludedReport, ...]
     excluded_systems: tuple[ExcludedSystem, ...]
 
@@ -127,16 +134,9 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _json_error(path: str | Path, exc: json.JSONDecodeError) -> ValueError:
-    return ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}")
-
-
 def load_bug_reports(path: str | Path) -> tuple[BugReport, ...]:
     """Read a JSON array of {"id", "summary", "description", "gold": [...]}."""
-    try:
-        records = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise _json_error(path, exc) from exc
+    records = read_json(path)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of bug reports")
     reports = []
@@ -175,10 +175,7 @@ def load_smell_report(path: str | Path) -> tuple[SmellInstance, ...]:
     # do not load the smell model.
     from .smells import SMELL_TYPE_BY_NAME, SmellInstance
 
-    try:
-        records = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise _json_error(path, exc) from exc
+    records = read_json(path)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON array of smell instances")
     instances = []
@@ -222,7 +219,7 @@ def load_external_scores(
     path: str | Path,
     technique: str,
     known_bugs: Iterable[str] | None = None,
-) -> combine.TechniqueScores:
+) -> TechniqueScores:
     """Read JSON lines of {"bug", "module", "score"}.
 
     Bug and module must be JSON strings and the score a JSON number; each
@@ -285,9 +282,7 @@ def load_external_scores(
         # wherever the decoder's chunk boundary fell.
         read_utf8(path)
         raise
-    from . import combine
-
-    return combine.TechniqueScores(technique=technique, by_bug=by_bug)
+    return TechniqueScores(technique=technique, by_bug=by_bug)
 
 
 def write_score_lines(path: str | Path, rankings: Iterable[ScoredRanking]) -> None:
@@ -317,10 +312,7 @@ _DESCRIPTOR_FIELDS = ("project", "version", "snapshot", "bugs", "smells")
 def load_descriptor(path: str | Path) -> SystemDescriptor:
     """Read a system descriptor JSON file; relative paths resolve against it."""
     path = Path(path)
-    try:
-        rec = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise _json_error(path, exc) from exc
+    rec = read_json(path)
     if not isinstance(rec, dict):
         raise ValueError(f"{path}: expected a JSON object")
     try:
@@ -341,6 +333,7 @@ def load_descriptor(path: str | Path) -> SystemDescriptor:
         return p if p.is_absolute() else base / p
 
     return SystemDescriptor(
+        path=path,
         project=fields["project"],
         version=fields["version"],
         snapshot_path=resolve(fields["snapshot"]),
@@ -356,8 +349,14 @@ def load_system(descriptor: SystemDescriptor) -> SystemSnapshot:
     The modules are the snapshot's source files, listed but not read. Gold
     modules or smelly modules missing from the snapshot are warned about
     but kept: external techniques may rank artifacts outside it, and the
-    risk analysis validates its own universe.
+    risk analysis validates its own universe. A missing snapshot directory
+    raises ValueError naming the descriptor, as it would list no modules.
     """
+    if not descriptor.snapshot_path.is_dir():
+        raise ValueError(
+            f"{descriptor.path}: snapshot directory not found: "
+            f"{descriptor.snapshot_path}"
+        )
     modules = tuple(doc_id for doc_id, _ in source_files(descriptor.snapshot_path))
     module_set = set(modules)
     reports = load_bug_reports(descriptor.bug_reports_path)
@@ -456,7 +455,7 @@ def prepare_system(
         gold={r.id: r.gold for r in snapshot.reports},
         smells=snapshot.smells,
     )
-    return system, combine.TechniqueScores(technique=technique, by_bug=by_bug)
+    return system, TechniqueScores(technique=technique, by_bug=by_bug)
 
 
 def validate_ranking(
@@ -486,6 +485,10 @@ def filter_dataset(
     systems without smells are dropped, then systems with fewer than five
     surviving reports. Raises when nothing survives.
     """
+    # combine.System is a dataclass; the commands that never filter do not
+    # load dataclasses.
+    from dataclasses import replace
+
     excluded_reports: list[ExcludedReport] = []
     excluded_systems: list[ExcludedSystem] = []
     kept_systems = []

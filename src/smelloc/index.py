@@ -12,48 +12,69 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import TokenDocument
-from .stopwords import read_utf8
+from .stopwords import read_json
 
 _CACHE_FORMAT = "smelloc-index"
 _CACHE_VERSION = 1
 
 
-@dataclass(frozen=True)
 class TermIndex:
-    """Immutable TF-IDF index over one corpus snapshot.
+    """TF-IDF index over one corpus snapshot, held as postings.
 
-    postings and doc_norms are derived from doc_vectors (``_from_vectors``)
-    so queries touch only the documents that share a term.
+    Documents are numbered in corpus order: document i is doc_ids[i], and
+    doc_norms[i] is the norm of its vector. postings[tid] lists, in document
+    order, the documents whose weight for term tid is nonzero, and
+    weights[tid] those weights; a term with no nonzero weight has no entry.
+    doc_terms[i] lists document i's weighted terms in order of first
+    occurrence, the order the cache writes them in. Treat it as immutable.
     """
 
-    vocabulary: dict[str, int]
-    doc_freq: tuple[int, ...]
-    doc_vectors: dict[str, dict[int, float]]
-    doc_lengths: dict[str, int]
-    doc_norms: dict[str, float]
-    postings: dict[int, tuple[tuple[str, float], ...]]
+    __slots__ = (
+        "vocabulary", "doc_freq", "doc_ids", "doc_lengths", "doc_norms",
+        "postings", "weights", "doc_terms", "_length_factors",
+    )
+
+    def __init__(
+        self,
+        vocabulary: dict[str, int],
+        doc_freq: tuple[int, ...],
+        doc_ids: list[str],
+        doc_lengths: dict[str, int],
+        doc_norms: list[float],
+        postings: dict[int, list[int]],
+        weights: dict[int, list[float]],
+        doc_terms: list[list[int]],
+    ):
+        self.vocabulary = vocabulary
+        self.doc_freq = doc_freq
+        self.doc_ids = doc_ids
+        self.doc_lengths = doc_lengths
+        self.doc_norms = doc_norms
+        self.postings = postings
+        self.weights = weights
+        self.doc_terms = doc_terms
+        self._length_factors = None
 
     @property
     def size(self) -> int:
-        return len(self.doc_vectors)
+        return len(self.doc_ids)
 
     def idf(self, term_id: int) -> float:
         return math.log(self.size / self.doc_freq[term_id])
 
-    @cached_property
+    @property
     def length_factors(self) -> dict[str, float]:
         """length_factor of this index, computed once on first use."""
-        return length_factor(self)
+        if self._length_factors is None:
+            self._length_factors = length_factor(self)
+        return self._length_factors
 
 
-@dataclass(frozen=True)
-class ScoredRanking:
+class ScoredRanking(NamedTuple):
     """One technique's ordering of modules for one bug report."""
 
     bug_id: str
@@ -64,6 +85,36 @@ class ScoredRanking:
         return tuple(module for module, _ in self.entries)
 
 
+def _index(
+    vocabulary: dict[str, int],
+    doc_freq: tuple[int, ...],
+    doc_ids: list[str],
+    doc_lengths: dict[str, int],
+    vectors: Iterable[tuple[list[int], list[float]]],
+) -> TermIndex:
+    """The index of each document's (term ids, weights), in doc_ids order.
+
+    build_index and load_index both go through here, so a built and a loaded
+    index hold the same floats in the same order.
+    """
+    doc_lists: list[list[int]] = [[] for _ in vocabulary]
+    weight_lists: list[list[float]] = [[] for _ in vocabulary]
+    doc_norms = []
+    doc_terms = []
+    for i, (terms, weights) in enumerate(vectors):
+        for tid, weight in zip(terms, weights):
+            doc_lists[tid].append(i)
+            weight_lists[tid].append(weight)
+        doc_terms.append(terms)
+        doc_norms.append(math.sqrt(math.fsum([w * w for w in weights])))
+    postings = {tid: docs for tid, docs in enumerate(doc_lists) if docs}
+    weights_by_term = {tid: weight_lists[tid] for tid in postings}
+    return TermIndex(
+        vocabulary, doc_freq, doc_ids, doc_lengths,
+        doc_norms, postings, weights_by_term, doc_terms,
+    )
+
+
 def build_index(corpus: Sequence[TokenDocument]) -> TermIndex:
     """Index a corpus; raises ValueError on an empty corpus or duplicate ids."""
     if not corpus:
@@ -71,7 +122,7 @@ def build_index(corpus: Sequence[TokenDocument]) -> TermIndex:
     n = len(corpus)
     vocabulary: dict[str, int] = {}
     df_counts: list[int] = []
-    tfs: dict[str, dict[int, int]] = {}
+    tfs: list[dict[int, int]] = []
     doc_lengths: dict[str, int] = {}
     for doc in corpus:
         if doc.id in doc_lengths:
@@ -86,42 +137,24 @@ def build_index(corpus: Sequence[TokenDocument]) -> TermIndex:
             counts[tid] = counts.get(tid, 0) + 1
         for tid in counts:
             df_counts[tid] += 1
-        tfs[doc.id] = counts
+        tfs.append(counts)
         doc_lengths[doc.id] = len(doc.tokens)
 
-    doc_vectors: dict[str, dict[int, float]] = {}
-    for doc_id, counts in tfs.items():
-        vec: dict[int, float] = {}
-        for tid, tf in counts.items():
-            idf = math.log(n / df_counts[tid])
-            weight = (1.0 + math.log(tf)) * idf
-            if weight != 0.0:
-                vec[tid] = weight
-        doc_vectors[doc_id] = vec
-    return _from_vectors(vocabulary, tuple(df_counts), doc_vectors, doc_lengths)
+    idfs = [math.log(n / df) for df in df_counts]
 
+    def vectors():
+        for counts in tfs:
+            terms = []
+            weights = []
+            for tid, tf in counts.items():
+                weight = (1.0 + math.log(tf)) * idfs[tid]
+                if weight != 0.0:
+                    terms.append(tid)
+                    weights.append(weight)
+            yield terms, weights
 
-def _from_vectors(
-    vocabulary: dict[str, int],
-    doc_freq: tuple[int, ...],
-    doc_vectors: dict[str, dict[int, float]],
-    doc_lengths: dict[str, int],
-) -> TermIndex:
-    """The index of these vectors; norms and postings follow their order, so
-    a built and a loaded index hold the same floats in the same order."""
-    doc_norms: dict[str, float] = {}
-    posting_lists: dict[int, list[tuple[str, float]]] = {}
-    for doc_id, vec in doc_vectors.items():
-        doc_norms[doc_id] = math.sqrt(math.fsum(w * w for w in vec.values()))
-        for tid, weight in vec.items():
-            posting_lists.setdefault(tid, []).append((doc_id, weight))
-    return TermIndex(
-        vocabulary=vocabulary,
-        doc_freq=doc_freq,
-        doc_vectors=doc_vectors,
-        doc_lengths=doc_lengths,
-        doc_norms=doc_norms,
-        postings={tid: tuple(entries) for tid, entries in posting_lists.items()},
+    return _index(
+        vocabulary, tuple(df_counts), list(doc_lengths), doc_lengths, vectors()
     )
 
 
@@ -143,23 +176,27 @@ def _query_vector(query: TokenDocument, index: TermIndex) -> dict[int, float]:
 def cosine_score(query: TokenDocument, index: TermIndex) -> dict[str, float]:
     """Cosine similarity of the query against every document, in [0, 1].
 
-    A zero-norm query or document scores 0 against everything.
+    A zero-norm query or document scores 0 against everything. Each dot
+    product adds its terms in query-vector order.
     """
-    scores = {doc_id: 0.0 for doc_id in index.doc_vectors}
     qvec = _query_vector(query, index)
     qnorm = math.sqrt(math.fsum(w * w for w in qvec.values()))
     if qnorm == 0.0:
-        return scores
-    dots: dict[str, float] = {}
+        return dict.fromkeys(index.doc_ids, 0.0)
+    dots = [0.0] * index.size
+    postings = index.postings
+    weights = index.weights
     for tid, qweight in qvec.items():
-        for doc_id, dweight in index.postings.get(tid, ()):
-            dots[doc_id] = dots.get(doc_id, 0.0) + qweight * dweight
-    for doc_id, dot in dots.items():
-        dnorm = index.doc_norms[doc_id]
-        if dnorm > 0.0:
-            # Floating error can push a self-match a hair past 1.
-            scores[doc_id] = min(1.0, dot / (qnorm * dnorm))
-    return scores
+        docs = postings.get(tid)
+        if docs is not None:
+            for i, dweight in zip(docs, weights[tid]):
+                dots[i] += qweight * dweight
+    # A document that shares no term has dot 0 and may have norm 0. Floating
+    # error can push a self-match a hair past 1.
+    return {
+        doc_id: min(1.0, dot / (qnorm * dnorm)) if dot else 0.0
+        for doc_id, dot, dnorm in zip(index.doc_ids, dots, index.doc_norms)
+    }
 
 
 def length_factor(index: TermIndex) -> dict[str, float]:
@@ -207,6 +244,24 @@ def corpus_hash(corpus: Iterable[TokenDocument]) -> str:
     return digest.hexdigest()
 
 
+def _doc_vectors(index: TermIndex) -> dict[str, dict[str, float]]:
+    """Each document's weights by term id string, in first-occurrence order.
+
+    Postings are in document order, so document i is the next unread entry
+    of every term it has.
+    """
+    read = dict.fromkeys(index.postings, 0)
+    vectors = {}
+    for doc_id, terms in zip(index.doc_ids, index.doc_terms):
+        vec = {}
+        for tid in terms:
+            k = read[tid]
+            read[tid] = k + 1
+            vec[str(tid)] = index.weights[tid][k]
+        vectors[doc_id] = vec
+    return vectors
+
+
 def save_index(index: TermIndex, path: str | Path, corpus_digest: str) -> None:
     """Write a single-file index cache keyed by the corpus content hash."""
     payload = {
@@ -215,14 +270,73 @@ def save_index(index: TermIndex, path: str | Path, corpus_digest: str) -> None:
         "corpus_hash": corpus_digest,
         "vocabulary": index.vocabulary,
         "doc_freq": list(index.doc_freq),
-        "doc_vectors": {
-            doc_id: {str(tid): w for tid, w in vec.items()}
-            for doc_id, vec in index.doc_vectors.items()
-        },
+        "doc_vectors": _doc_vectors(index),
         "doc_lengths": index.doc_lengths,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
+
+
+def _ints(values: Iterable) -> bool:
+    # bool is an int subclass, so isinstance would let true through.
+    return all(type(v) is int for v in values)
+
+
+def _from_payload(payload: dict) -> TermIndex:
+    """The index a cache payload describes.
+
+    Raises AttributeError, KeyError, TypeError or ValueError on anything
+    save_index would not have written: term keys that are not a term id's
+    decimal string, weights that are not positive finite floats, lengths
+    for other documents than the vectors, or document frequencies that
+    disagree with the postings.
+    """
+    vocabulary = payload["vocabulary"]
+    doc_freq = payload["doc_freq"]
+    vectors = payload["doc_vectors"]
+    doc_lengths = payload["doc_lengths"]
+    if not (
+        type(payload["corpus_hash"]) is str
+        and type(vocabulary) is dict
+        and type(doc_freq) is list
+        and type(vectors) is dict
+        and type(doc_lengths) is dict
+    ):
+        raise TypeError("wrong container types")
+    n = len(vectors)
+    v = len(vocabulary)
+    if not (
+        n
+        and _ints(vocabulary.values())
+        and sorted(vocabulary.values()) == list(range(v))
+        and doc_lengths.keys() == vectors.keys()
+        and _ints(doc_lengths.values())
+        and min(doc_lengths.values()) >= 0
+        and len(doc_freq) == v
+        and _ints(doc_freq)
+    ):
+        raise ValueError("inconsistent vocabulary, lengths or frequencies")
+    # Only the distinct term keys are converted; a key that is out of range
+    # or not canonical ("07") is missing here.
+    tid_of = {str(tid): tid for tid in range(v)}.__getitem__
+
+    def parsed():
+        for vec in vectors.values():
+            weights = list(vec.values())
+            if not set(map(type, weights)) <= {float} or (weights and min(weights) <= 0.0):
+                raise ValueError("weights must be positive floats")
+            yield list(map(tid_of, vec)), weights
+
+    index = _index(vocabulary, tuple(doc_freq), list(vectors), doc_lengths, parsed())
+    if not all(map(math.isfinite, index.doc_norms)):
+        raise ValueError("weights must be finite")
+    # A term in every document has idf 0, so no posting; any other term has
+    # one per document that contains it.
+    postings = index.postings
+    expected = [len(postings.get(tid, ())) or n for tid in range(v)]
+    if doc_freq != expected or any(len(docs) == n for docs in postings.values()):
+        raise ValueError("document frequencies disagree with the postings")
+    return index
 
 
 def load_index(path: str | Path, corpus_digest: str | None = None) -> TermIndex:
@@ -231,10 +345,7 @@ def load_index(path: str | Path, corpus_digest: str | None = None) -> TermIndex:
     Passing the current corpus hash enforces that the cache still matches.
     Every error message starts with the path.
     """
-    try:
-        payload = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    payload = read_json(path)
     unrecognized = f"{path}: unrecognized index cache"
     if (
         not isinstance(payload, dict)
@@ -243,19 +354,12 @@ def load_index(path: str | Path, corpus_digest: str | None = None) -> TermIndex:
     ):
         raise ValueError(unrecognized)
     try:
-        built_from = payload["corpus_hash"]
-        doc_vectors = {
-            doc_id: {int(tid): float(w) for tid, w in vec.items()}
-            for doc_id, vec in payload["doc_vectors"].items()
-        }
-        vocabulary = dict(payload["vocabulary"])
-        doc_freq = tuple(payload["doc_freq"])
-        doc_lengths = {k: int(v) for k, v in payload["doc_lengths"].items()}
+        index = _from_payload(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(unrecognized) from exc
-    if corpus_digest is not None and built_from != corpus_digest:
+    if corpus_digest is not None and payload["corpus_hash"] != corpus_digest:
         raise ValueError(
             f"stale index cache {path}: built from other files or other "
             "tokenizer settings than the current corpus"
         )
-    return _from_vectors(vocabulary, doc_freq, doc_vectors, doc_lengths)
+    return index

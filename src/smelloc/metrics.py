@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 TOP_CUTOFFS = (1, 5, 10)
 
@@ -22,8 +21,7 @@ TOP_CUTOFFS = (1, 5, 10)
 _EFFECT_LABELS = ((0.147, "negligible"), (0.33, "small"), (0.474, "medium"))
 
 
-@dataclass(frozen=True)
-class RankingOutcome:
+class RankingOutcome(NamedTuple):
     """Everything the metrics need to know about one evaluated ranking."""
 
     bug_id: str
@@ -33,8 +31,7 @@ class RankingOutcome:
     top_hits: dict[int, bool]
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     top: dict[int, float]  # cutoff -> hit ratio
     counts: dict[int, int]  # cutoff -> exact integer hit count
     mrr: float

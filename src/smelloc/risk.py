@@ -15,18 +15,18 @@ five type-selector sets used by configurations.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from .log import get_logger
 from .smells import ALL_TYPE_NAMES, SELECTOR_NAMES, SmellInstance
 
 if TYPE_CHECKING:
     from .combine import System
 
-logger = logging.getLogger(__name__)
+logger = get_logger(__name__)
 
 TOTAL_ROW_NAME = "Total"
 

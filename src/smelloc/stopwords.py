@@ -1,5 +1,5 @@
 """Default stopword sets, a loader for user-supplied lists, and the strict
-UTF-8 reader that every user-supplied text file goes through.
+UTF-8 and JSON readers that every user-supplied file goes through.
 
 The default set is a standard English stopword list combined with the Java
 reserved words, since Java source is the default corpus language and its
@@ -9,6 +9,7 @@ apostrophe contractions are listed by their alphabetic fragments.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 ENGLISH_STOPWORDS = frozenset("""
@@ -56,6 +57,15 @@ def read_utf8(path: str | Path) -> str:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise utf8_error(path) from None
+
+
+def read_json(path: str | Path):
+    """The JSON value of a UTF-8 file; malformed JSON raises a ValueError
+    naming the file and line."""
+    try:
+        return json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
 
 
 def utf8_error(path: str | Path) -> ValueError:

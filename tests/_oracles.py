@@ -4,7 +4,8 @@ Each oracle takes a deliberately different route from the implementation
 under test: the stemmer is a procedural buffer-and-offsets port and,
 separately, the package's former suffix-scanning stemmer, the splitter
 is a character loop and, separately, a two-stage regex, cosine goes through
-dense numpy vectors, the rank metrics count positions exhaustively, Cliff's
+dense numpy vectors and, separately, the former per-document dict index
+with its dict-keyed dot products, the rank metrics count positions exhaustively, Cliff's
 delta is the O(n*m) double loop, relative risk is direct set counting,
 the alpha sweep fully sorts the universe at every grid point, the ahead
 counts keep the former min/max clamps and per-module updates, the sweep's
@@ -498,6 +499,123 @@ def cosine_dense(query: dict[int, float], doc: dict[int, float]) -> float:
     if qn == 0.0 or dn == 0.0:
         return 0.0
     return min(1.0, float(np.dot(q, d) / (qn * dn)))
+
+
+class VectorIndex:
+    """The former index layout: one {term id: weight} dict per document,
+    with norms and (doc id, weight) postings derived from those dicts."""
+
+    def __init__(self, vocabulary, doc_freq, doc_vectors, doc_lengths):
+        self.vocabulary = vocabulary
+        self.doc_freq = doc_freq
+        self.doc_vectors = doc_vectors
+        self.doc_lengths = doc_lengths
+        self.doc_norms = {}
+        posting_lists = {}
+        for doc_id, vec in doc_vectors.items():
+            self.doc_norms[doc_id] = math.sqrt(math.fsum(w * w for w in vec.values()))
+            for tid, weight in vec.items():
+                posting_lists.setdefault(tid, []).append((doc_id, weight))
+        self.postings = {tid: tuple(entries) for tid, entries in posting_lists.items()}
+
+    @property
+    def size(self) -> int:
+        return len(self.doc_vectors)
+
+    def idf(self, term_id: int) -> float:
+        return math.log(self.size / self.doc_freq[term_id])
+
+
+def build_vector_index(corpus) -> VectorIndex:
+    """TF-IDF vectors per document, then the postings derived from them."""
+    n = len(corpus)
+    vocabulary: dict[str, int] = {}
+    df_counts: list[int] = []
+    tfs: dict[str, dict[int, int]] = {}
+    doc_lengths: dict[str, int] = {}
+    for doc in corpus:
+        counts: dict[int, int] = {}
+        for term in doc.tokens:
+            tid = vocabulary.get(term)
+            if tid is None:
+                tid = len(vocabulary)
+                vocabulary[term] = tid
+                df_counts.append(0)
+            counts[tid] = counts.get(tid, 0) + 1
+        for tid in counts:
+            df_counts[tid] += 1
+        tfs[doc.id] = counts
+        doc_lengths[doc.id] = len(doc.tokens)
+    doc_vectors: dict[str, dict[int, float]] = {}
+    for doc_id, counts in tfs.items():
+        vec = {}
+        for tid, tf in counts.items():
+            weight = (1.0 + math.log(tf)) * math.log(n / df_counts[tid])
+            if weight != 0.0:
+                vec[tid] = weight
+        doc_vectors[doc_id] = vec
+    return VectorIndex(vocabulary, tuple(df_counts), doc_vectors, doc_lengths)
+
+
+def save_vector_index(index: VectorIndex, path, corpus_digest: str) -> None:
+    """The index cache, written straight from the per-document dicts."""
+    payload = {
+        "format": "smelloc-index",
+        "version": 1,
+        "corpus_hash": corpus_digest,
+        "vocabulary": index.vocabulary,
+        "doc_freq": list(index.doc_freq),
+        "doc_vectors": {
+            doc_id: {str(tid): w for tid, w in vec.items()}
+            for doc_id, vec in index.doc_vectors.items()
+        },
+        "doc_lengths": index.doc_lengths,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def load_vector_index(path) -> VectorIndex:
+    """An index cache read back into per-document dicts, converting every
+    term key with int() and every weight with float()."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc_vectors = {
+        doc_id: {int(tid): float(w) for tid, w in vec.items()}
+        for doc_id, vec in payload["doc_vectors"].items()
+    }
+    return VectorIndex(
+        dict(payload["vocabulary"]),
+        tuple(payload["doc_freq"]),
+        doc_vectors,
+        {k: int(v) for k, v in payload["doc_lengths"].items()},
+    )
+
+
+def cosine_score_by_dicts(query, index: VectorIndex) -> dict[str, float]:
+    """Cosine scores with the dot products kept in a dict keyed by doc id."""
+    scores = {doc_id: 0.0 for doc_id in index.doc_vectors}
+    counts: dict[int, int] = {}
+    for term in query.tokens:
+        tid = index.vocabulary.get(term)
+        if tid is not None:
+            counts[tid] = counts.get(tid, 0) + 1
+    qvec = {}
+    for tid, tf in counts.items():
+        weight = (1.0 + math.log(tf)) * index.idf(tid)
+        if weight != 0.0:
+            qvec[tid] = weight
+    qnorm = math.sqrt(math.fsum(w * w for w in qvec.values()))
+    if qnorm == 0.0:
+        return scores
+    dots: dict[str, float] = {}
+    for tid, qweight in qvec.items():
+        for doc_id, dweight in index.postings.get(tid, ()):
+            dots[doc_id] = dots.get(doc_id, 0.0) + qweight * dweight
+    for doc_id, dot in dots.items():
+        dnorm = index.doc_norms[doc_id]
+        if dnorm > 0.0:
+            scores[doc_id] = min(1.0, dot / (qnorm * dnorm))
+    return scores
 
 
 def average_precision_exhaustive(ordered, gold) -> float:

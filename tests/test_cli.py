@@ -996,6 +996,27 @@ class TestConfigSearchCommand:
         assert rc == 0
         assert len(_read_csv(out)) == 152
 
+    @pytest.mark.parametrize("technique", ["rvsm", "ext"])
+    def test_missing_snapshot_exits_2_naming_descriptor(self, java_system, tmp_path,
+                                                        capsys, technique):
+        root = java_system["root"]
+        (root / "ext.jsonl").write_text("".join(
+            json.dumps({"bug": b["id"], "module": m, "score": 1.0}) + "\n"
+            for b in JAVA_BUGS for m in JAVA_SNAPSHOT
+        ))
+        rec = json.loads(java_system["descriptor"].read_text())
+        rec.update(snapshot="nosuchdir", scores={"ext": "ext.jsonl"})
+        descriptor = root / "gone.json"
+        descriptor.write_text(json.dumps(rec))
+        out = tmp_path / "search.csv"
+        rc = main(["config-search", "--systems", str(descriptor), "--technique", technique,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {descriptor}: snapshot directory not found: {root / 'nosuchdir'}\n"
+        )
+        assert not out.exists()
+
 
 class TestUnreadableSource:
     """A source file that cannot be read ends every command that tokenizes
@@ -1192,6 +1213,34 @@ class TestStrictInputs:
                    "--index", str(cache), "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cache}{message}"
+
+    @pytest.mark.parametrize("technique", ["vsm", "rvsm"])
+    @pytest.mark.parametrize(
+        "shape", ["length-missing", "term-out-of-range", "term-not-canonical",
+                  "weight-not-float"]
+    )
+    def test_inconsistent_index_cache_exits_2(self, java_system, tmp_path, capsys,
+                                              shape, technique):
+        cache = tmp_path / "index.json"
+        assert main(["index", "--snapshot", str(java_system["src"]),
+                     "--out", str(cache)]) == 0
+        payload = json.loads(cache.read_text(encoding="utf-8"))
+        doc_id, vec = next(iter(payload["doc_vectors"].items()))
+        tid = next(iter(vec))
+        if shape == "length-missing":
+            del payload["doc_lengths"][doc_id]
+        elif shape == "term-out-of-range":
+            vec["9999999"] = 0.5
+        elif shape == "term-not-canonical":
+            vec["0" + tid] = vec.pop(tid)
+        else:
+            vec[tid] = 1
+        cache.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["rank", "--technique", technique, "--bugs", str(java_system["bugs"]),
+                   "--index", str(cache), "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cache}: unrecognized index cache\n"
 
     @pytest.mark.parametrize(
         "reader", ["run-config", "stopwords", "modules", "descriptor", "index"]
@@ -1479,3 +1528,70 @@ class TestStartup:
         assert {
             "smelloc.combine", "smelloc.risk", "smelloc.metrics", "smelloc.smells"
         }.isdisjoint(loaded)
+
+    # Start-up costs that the per-query commands do not need to pay.
+    STARTUP = ("dataclasses", "logging", "traceback")
+
+    def test_index_rank_and_evaluate_leave_startup_modules_unloaded(
+        self, java_system, tmp_path
+    ):
+        script = (
+            "import json, sys, smelloc.cli; rc = smelloc.cli.main(sys.argv[1:]); "
+            f"print(json.dumps([m for m in {self.STARTUP!r} if m in sys.modules])); "
+            "sys.exit(rc)"
+        )
+        cache, ranked = str(tmp_path / "index.json"), str(tmp_path / "r.jsonl")
+        bugs = str(java_system["bugs"])
+        commands = [
+            ["index", "--snapshot", str(java_system["src"]), "--out", cache],
+            ["rank", "--technique", "rvsm", "--bugs", bugs, "--index", cache,
+             "--out", ranked],
+            ["rank", "--technique", "vsm", "--bugs", bugs, "--index", cache,
+             "--bug", JAVA_BUGS[0]["id"], "--out", str(tmp_path / "q.jsonl")],
+            ["evaluate", "--rankings", ranked, "--bugs", bugs, "--compare", ranked,
+             "--out", str(tmp_path / "e.json")],
+        ]
+        for argv in commands:
+            proc = _fresh_python("-c", script, *argv)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout.splitlines()[-1]) == [], argv[0]
+
+    def test_warning_carries_level_and_logger_name(self, tmp_path):
+        # The first four types have distinct relative risks; the last three
+        # tie at the top-five cut, which risk keeps whole with a warning.
+        from smelloc.smells import SMELL_TYPE_BY_NAME
+
+        names = sorted(ALL_TYPE_NAMES)[:7]
+        placed = [(name, f"m{i}") for k, name in enumerate(names[:4]) for i in range(6 - k)]
+        placed += [(name, m) for name in names[4:] for m in ("m0", "m20")]
+        smells = [
+            {"type": name, "module": module, "severity": 1}
+            | ({"method": "run()"} if SMELL_TYPE_BY_NAME[name].granularity == "method"
+               else {})
+            for name, module in placed
+        ]
+        (tmp_path / "smells.json").write_text(json.dumps(smells), encoding="utf-8")
+        (tmp_path / "modules.txt").write_text("".join(f"m{i}\n" for i in range(30)))
+        (tmp_path / "bugs.json").write_text(json.dumps(
+            [{"id": "B-1", "gold": [f"m{i}" for i in range(10)]}]), encoding="utf-8")
+        proc = _fresh_python(
+            "-m", "smelloc.cli", "risk", "--smells", str(tmp_path / "smells.json"),
+            "--modules", str(tmp_path / "modules.txt"), "--bugs", str(tmp_path / "bugs.json"),
+            "--out", str(tmp_path / "risk.csv"),
+            "--selectors-out", str(tmp_path / "selectors.json"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "WARNING smelloc.risk: relative-risk tie at the top-five cut; keeping 7 types\n"
+        )
+
+    def test_verbose_logs_info_lines(self, java_system, tmp_path):
+        argv = ["config-search", "--systems", str(java_system["descriptor"]),
+                "--technique", "rvsm", "--out", str(tmp_path / "s.csv")]
+        script = "import sys, smelloc.cli; sys.exit(smelloc.cli.main(sys.argv[1:]))"
+        quiet = _fresh_python("-c", script, *argv)
+        assert quiet.returncode == 0, quiet.stderr
+        assert quiet.stderr == ""
+        verbose = _fresh_python("-c", script, *argv, "--verbose")
+        assert verbose.returncode == 0, verbose.stderr
+        assert verbose.stderr == "INFO smelloc.cli: nothing excluded\n"

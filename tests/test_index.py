@@ -1,7 +1,11 @@
 """Tests for TF-IDF indexing, the two baseline rankers, and the index cache."""
 
+import json
 import math
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +23,27 @@ from smelloc.index import (
     save_index,
 )
 
-from _oracles import cosine_dense
+from _oracles import (
+    build_vector_index,
+    cosine_dense,
+    cosine_score_by_dicts,
+    load_vector_index,
+    save_vector_index,
+)
 
 
 def _doc(doc_id: str, *tokens: str) -> TokenDocument:
     return TokenDocument(id=doc_id, tokens=tuple(tokens))
+
+
+def _vector(index, doc_id: str) -> dict[int, float]:
+    """A document's weights by term id, read back from the postings."""
+    i = index.doc_ids.index(doc_id)
+    return {
+        tid: index.weights[tid][docs.index(i)]
+        for tid, docs in index.postings.items()
+        if i in docs
+    }
 
 
 def _hand_weight(tf: int, n: int, df: int) -> float:
@@ -70,22 +90,27 @@ class TestBuildIndex:
         assert idx.doc_freq[a] == 1
         assert idx.doc_freq[b] == 2
         assert idx.doc_freq[g] == 2
-        assert idx.doc_vectors["d1"][a] == pytest.approx(_hand_weight(2, 3, 1), abs=1e-12)
-        assert idx.doc_vectors["d1"][b] == pytest.approx(_hand_weight(1, 3, 2), abs=1e-12)
-        assert idx.doc_vectors["d2"][g] == pytest.approx(_hand_weight(1, 3, 2), abs=1e-12)
-        assert idx.doc_vectors["d3"][g] == pytest.approx(_hand_weight(4, 3, 2), abs=1e-12)
+        assert idx.doc_ids == ["d1", "d2", "d3"]
+        assert _vector(idx, "d1")[a] == pytest.approx(_hand_weight(2, 3, 1), abs=1e-12)
+        assert _vector(idx, "d1")[b] == pytest.approx(_hand_weight(1, 3, 2), abs=1e-12)
+        assert _vector(idx, "d2")[g] == pytest.approx(_hand_weight(1, 3, 2), abs=1e-12)
+        assert _vector(idx, "d3")[g] == pytest.approx(_hand_weight(4, 3, 2), abs=1e-12)
+        assert idx.postings == {a: [0], b: [0, 1], g: [1, 2]}
+        assert idx.doc_terms == [[a, b], [b, g], [g]]
         norm = math.sqrt(
             _hand_weight(2, 3, 1) ** 2 + _hand_weight(1, 3, 2) ** 2
         )
-        assert idx.doc_norms["d1"] == pytest.approx(norm, abs=1e-12)
+        assert idx.doc_norms[0] == pytest.approx(norm, abs=1e-12)
         assert idx.doc_lengths == {"d1": 3, "d2": 2, "d3": 4}
 
     def test_zero_weights_are_not_stored(self):
         # One document: every term has df == N, so idf and the weights are 0.
         idx = build_index([_doc("d1", "alpha", "beta", "beta")])
-        assert idx.doc_vectors["d1"] == {}
-        assert idx.doc_norms["d1"] == 0.0
+        assert _vector(idx, "d1") == {}
+        assert idx.doc_norms == [0.0]
         assert idx.postings == {}
+        assert idx.weights == {}
+        assert idx.doc_terms == [[]]
         scores = cosine_score(_doc("q", "alpha"), idx)
         assert scores == {"d1": 0.0}
 
@@ -96,8 +121,9 @@ class TestBuildIndex:
         ]
         idx = build_index(corpus)
         common = idx.vocabulary["common"]
-        assert common not in idx.doc_vectors["d1"]
-        assert common not in idx.doc_vectors["d2"]
+        assert common not in _vector(idx, "d1")
+        assert common not in _vector(idx, "d2")
+        assert common not in idx.postings
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -134,7 +160,7 @@ class TestCosine:
             got = cosine_score(_doc("q", *qtokens), idx)
             qvec = _query_weights(idx, qtokens)
             for doc in corpus:
-                want = cosine_dense(qvec, idx.doc_vectors[doc.id])
+                want = cosine_dense(qvec, _vector(idx, doc.id))
                 assert got[doc.id] == pytest.approx(want, abs=1e-12), doc.id
 
     def test_scores_clamped_to_unit_interval(self):
@@ -217,6 +243,44 @@ class TestLengthFactor:
         assert len(calls) == 2
 
 
+_TERMS = st.sampled_from(["alpha", "beta", "gamma", "delta", "eps", "zeta"])
+
+
+class TestAgainstVectorOracle:
+    """The postings index against the former per-document dict index."""
+
+    @staticmethod
+    def _hexed(scores: dict[str, float]) -> list[tuple[str, str]]:
+        return [(doc_id, score.hex()) for doc_id, score in scores.items()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs=st.lists(st.lists(_TERMS, max_size=12), min_size=1, max_size=8),
+        queries=st.lists(st.lists(_TERMS | st.just("unseen"), max_size=10), max_size=4),
+    )
+    def test_scores_and_cache_bytes_equal_the_oracle(self, docs, queries):
+        corpus = [TokenDocument(id=f"d{i}", tokens=tuple(t)) for i, t in enumerate(docs)]
+        digest = corpus_hash(corpus)
+        built = build_index(corpus)
+        oracle = build_vector_index(corpus)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp, "ours.json"), Path(tmp, "theirs.json")
+            save_index(built, ours, digest)
+            save_vector_index(oracle, theirs, digest)
+            assert ours.read_bytes() == theirs.read_bytes()
+            loaded = load_index(ours, digest)
+            oracle_loaded = load_vector_index(theirs)
+        for tokens in queries:
+            query = _doc("q", *tokens)
+            want = cosine_score_by_dicts(query, oracle)
+            assert self._hexed(cosine_score_by_dicts(query, oracle_loaded)) == self._hexed(want)
+            factors = length_factor(oracle)
+            want_rvsm = {doc_id: factors[doc_id] * sim for doc_id, sim in want.items()}
+            for index in (built, loaded):
+                assert self._hexed(cosine_score(query, index)) == self._hexed(want)
+                assert self._hexed(rvsm_score(query, index)) == self._hexed(want_rvsm)
+
+
 class TestRank:
     def test_orders_by_score_then_id(self):
         ranking = rank(
@@ -251,15 +315,17 @@ class TestCache:
         loaded = load_index(path, digest)
         assert loaded.vocabulary == idx.vocabulary
         assert loaded.doc_freq == idx.doc_freq
-        assert loaded.doc_vectors == idx.doc_vectors
+        assert loaded.doc_ids == idx.doc_ids
+        assert all(_vector(loaded, d) == _vector(idx, d) for d in idx.doc_ids)
         assert loaded.doc_lengths == idx.doc_lengths
         assert loaded.doc_norms == idx.doc_norms
+        assert loaded.doc_terms == idx.doc_terms
 
         def hexed(index):
-            norms = [(doc_id, n.hex()) for doc_id, n in index.doc_norms.items()]
+            norms = [(doc_id, n.hex()) for doc_id, n in zip(index.doc_ids, index.doc_norms)]
             postings = [
-                (tid, [(doc_id, w.hex()) for doc_id, w in entries])
-                for tid, entries in index.postings.items()
+                (tid, [(index.doc_ids[i], w.hex()) for i, w in zip(docs, index.weights[tid])])
+                for tid, docs in index.postings.items()
             ]
             return norms, postings
 
@@ -282,6 +348,48 @@ class TestCache:
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "other", "version": 1}')
         with pytest.raises(ValueError, match="unrecognized index cache"):
+            load_index(path)
+
+    @staticmethod
+    def _first(payload):
+        doc_id, vec = next(iter(payload["doc_vectors"].items()))
+        return doc_id, vec, next(iter(vec))
+
+    MUTATIONS = {
+        "length-missing": lambda p, d, v, t: p["doc_lengths"].pop(d),
+        "length-extra": lambda p, d, v, t: p["doc_lengths"].update(extra=3),
+        "length-not-int": lambda p, d, v, t: p["doc_lengths"].update({d: True}),
+        "term-out-of-range": lambda p, d, v, t: v.update({"9999999": 0.5}),
+        "term-not-canonical": lambda p, d, v, t: v.update({"0" + t: v.pop(t)}),
+        "term-negative": lambda p, d, v, t: v.update({"-1": 0.5}),
+        "weight-int": lambda p, d, v, t: v.update({t: 1}),
+        "weight-string": lambda p, d, v, t: v.update({t: "0.5"}),
+        "weight-bool": lambda p, d, v, t: v.update({t: True}),
+        "weight-zero": lambda p, d, v, t: v.update({t: 0.0}),
+        "weight-negative": lambda p, d, v, t: v.update({t: -0.5}),
+        "weight-nan": lambda p, d, v, t: v.update({t: math.nan}),
+        "weight-infinite": lambda p, d, v, t: v.update({t: math.inf}),
+        "vector-not-object": lambda p, d, v, t: p["doc_vectors"].update({d: [0.5]}),
+        "doc-freq-off": lambda p, d, v, t: p["doc_freq"].__setitem__(int(t), 99),
+        "doc-freq-short": lambda p, d, v, t: p["doc_freq"].pop(),
+        # only0 is in one document, and true == 1.
+        "doc-freq-bool": lambda p, d, v, t: p["doc_freq"].__setitem__(
+            p["vocabulary"]["only0"], True),
+        "vocabulary-gap": lambda p, d, v, t: p["vocabulary"].update(
+            {next(iter(p["vocabulary"])): len(p["vocabulary"])}),
+        "no-documents": lambda p, d, v, t: p.update(doc_vectors={}, doc_lengths={}),
+        "hash-not-string": lambda p, d, v, t: p.update(corpus_hash=None),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MUTATIONS))
+    def test_inconsistent_cache_rejected(self, tmp_path, shape):
+        corpus = self._corpus()
+        path = tmp_path / "cache.json"
+        save_index(build_index(corpus), path, corpus_hash(corpus))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        self.MUTATIONS[shape](payload, *self._first(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unrecognized index cache$"):
             load_index(path)
 
     def test_corpus_hash_tracks_content(self):
