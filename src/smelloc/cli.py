@@ -25,7 +25,8 @@ from .corpus import build_corpus, source_files
 from .index import TermIndex, build_index, corpus_hash, load_index, rank, save_index
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords, read_json, read_utf8
 
-logger = log.get_logger(__name__)
+# A fixed name, so log lines read the same when run as python -m smelloc.cli.
+logger = log.get_logger("smelloc.cli")
 
 STAT_METRICS = ("top1", "top5", "top10", "mrr", "map")
 
@@ -42,15 +43,6 @@ def _stopwords(args) -> frozenset[str]:
     if getattr(args, "stopwords", None):
         return load_stopwords(args.stopwords)
     return DEFAULT_STOPWORDS
-
-
-def _jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        return 1
-    if jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    return jobs
 
 
 def _require_dir(path: str, what: str) -> Path:
@@ -106,10 +98,7 @@ def _load_selectors(path: str | None) -> dict[str, frozenset[str]]:
 def cmd_index(args) -> int:
     snapshot = _require_dir(args.snapshot, "snapshot")
     corpus = build_corpus(
-        snapshot,
-        extensions=tuple(args.extensions),
-        stopwords=_stopwords(args),
-        jobs=_jobs(args),
+        snapshot, extensions=tuple(args.extensions), stopwords=_stopwords(args)
     )
     if not corpus:
         raise UsageError(f"no source files under {snapshot}")
@@ -136,9 +125,7 @@ def _term_index(args, stopwords: frozenset[str]) -> TermIndex:
     corpus = None
     if args.snapshot:
         corpus = build_corpus(
-            _require_dir(args.snapshot, "snapshot"),
-            stopwords=stopwords,
-            jobs=_jobs(args),
+            _require_dir(args.snapshot, "snapshot"), stopwords=stopwords
         )
         if not corpus:
             raise UsageError(f"no source files under {args.snapshot}")
@@ -477,7 +464,7 @@ def cmd_config_search(args) -> int:
     for desc_path in args.systems:
         descriptor = dataio.load_descriptor(_require_file(desc_path, "descriptor"))
         snapshot = dataio.load_system(descriptor)
-        pairs.append(dataio.prepare_system(snapshot, args.technique, jobs=_jobs(args)))
+        pairs.append(dataio.prepare_system(snapshot, args.technique))
     kept, validation = dataio.filter_dataset(pairs)
     for line in validation.to_text().splitlines():
         logger.info("%s", line)
@@ -499,7 +486,7 @@ def cmd_config_search(args) -> int:
     configs = combine.enumerate_configs(
         selectors, include_single_type=args.include_single_type
     )
-    report = combine.config_search(kept, configs, jobs=_jobs(args))
+    report = combine.config_search(kept, configs, jobs=args.jobs or 1)
 
     inputs = {
         f"descriptor{i}": path for i, path in enumerate(args.systems)
@@ -627,7 +614,12 @@ def cmd_convert(args) -> int:
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=None, help="worker count (default 1)")
+    common.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for config-search's per-system sweeps (default 1)",
+    )
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument(
         "--run-config",
@@ -790,6 +782,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.run_config:
             args = _apply_run_config(parser, args, argv)
+        if args.jobs is not None and args.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
         log.configure(args.verbose)
         return args.func(args)
     except (ValueError, OSError) as exc:  # UsageError is a ValueError

@@ -65,11 +65,12 @@ class System:
 
 @dataclass(frozen=True)
 class AlphaSweepResult:
-    config: SmellConfiguration
-    metric: str
+    """One metric's curve over the alpha grid and where it peaks."""
+
     values: tuple[float, ...]  # one point per grid alpha
-    best_alphas: tuple[float, ...]
+    best_alphas: tuple[float, ...]  # every maximizing grid alpha, ascending
     best_value: float
+    stats: tuple[float, ...]  # pooled stats at the smallest maximizer
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,6 @@ def blend(
         m: (1.0 - alpha) * norm_score[m] + alpha * norm_smell[m]
         for m in norm_score
     }
-
-
-def normalized_smell(system: System, config: SmellConfiguration) -> dict[str, float]:
-    """Normalized smell value of every module in the system's universe."""
-    return normalize(smell_values(system.modules, system.smells, config))
 
 
 _N_STATS = 6  # hits at 1, 5, 10, reciprocal-rank sum, precision sum, reports
@@ -392,40 +388,21 @@ def _best_alphas(curve: Sequence[float]) -> tuple[tuple[float, ...], float]:
     )
 
 
-def sweep_all_metrics(
-    system: System,
-    scores: TechniqueScores,
-    config: SmellConfiguration,
-) -> dict[str, AlphaSweepResult]:
-    """Sweep the alpha grid once and read off every metric's curve."""
-    norm_smell = normalized_smell(system, config)
-    stats = _sweep_stats(
-        _reports(system, scores), [norm_smell[m] for m in sorted(system.modules)]
-    )
-    results = {}
-    for metric in METRIC_NAMES:
-        curve = _curve(stats, metric)
-        maximizers, best = _best_alphas(curve)
-        results[metric] = AlphaSweepResult(
-            config=config,
-            metric=metric,
-            values=curve,
-            best_alphas=maximizers,
-            best_value=best,
-        )
-    return results
-
-
 def sweep_alpha(
     system: System,
     scores: TechniqueScores,
     config: SmellConfiguration,
     metric: str,
 ) -> AlphaSweepResult:
-    """Evaluate one metric over the whole alpha grid for one configuration."""
+    """Evaluate one metric over the whole alpha grid for one configuration.
+
+    This is config_search's sweep of one system under one configuration, so
+    the curve equals that search's curve for the same inputs.
+    """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
-    return sweep_all_metrics(system, scores, config)[metric]
+    (stats,), _ = _system_task((system, scores, (config,)))
+    return _best_by_metric(stats)[metric]
 
 
 def optimize_alpha(result: AlphaSweepResult) -> float:
@@ -546,22 +523,12 @@ def _system_task(
     return distinct, index
 
 
-@dataclass(frozen=True)
-class _Best:
-    """One metric's curve over a stats list and where it peaks."""
-
-    curve: tuple[float, ...]
-    maximizers: tuple[float, ...]
-    value: float
-    stats: tuple[float, ...]  # pooled stats at the smallest maximizer
-
-
-def _best_by_metric(stats: list[tuple[float, ...]]) -> dict[str, _Best]:
+def _best_by_metric(stats: list[tuple[float, ...]]) -> dict[str, AlphaSweepResult]:
     out = {}
     for metric in METRIC_NAMES:
         curve = _curve(stats, metric)
         maximizers, value = _best_alphas(curve)
-        out[metric] = _Best(
+        out[metric] = AlphaSweepResult(
             curve, maximizers, value, stats[ALPHA_GRID.index(min(maximizers))]
         )
     return out
@@ -597,7 +564,7 @@ def config_search(
     system_names = tuple(system.name for system, _ in systems)
     # Per system, the best of every metric for each configuration, computed
     # once per distinct stats list.
-    best: list[list[dict[str, _Best]]] = []
+    best: list[list[dict[str, AlphaSweepResult]]] = []
     for distinct, index in per_system:
         by_list = [_best_by_metric(stats) for stats in distinct]
         best.append([by_list[d] for d in index])
@@ -611,8 +578,8 @@ def config_search(
             pooled = [0.0] * _N_STATS
             for si, name in enumerate(system_names):
                 b = best[si][ci][metric]
-                chosen[name] = min(b.maximizers)
-                maximizers[name] = b.maximizers
+                chosen[name] = min(b.best_alphas)
+                maximizers[name] = b.best_alphas
                 for k in range(_N_STATS):
                     pooled[k] += b.stats[k]
             outcomes[metric] = ConfigOutcome(
@@ -629,7 +596,7 @@ def config_search(
                 ),
                 original_index=is_original_index(config),
                 curves={
-                    name: {m: b.curve for m, b in best[si][ci].items()}
+                    name: {m: b.values for m, b in best[si][ci].items()}
                     for si, name in enumerate(system_names)
                 },
             )
@@ -645,10 +612,10 @@ def config_search(
             top = None
             for ci, by_metric in enumerate(best[si]):
                 b = by_metric[metric]
-                if top is None or b.value > top[1].value:
+                if top is None or b.best_value > top[1].best_value:
                     top = (ci, b)
             ci, b = top
-            choice[name] = (configs[ci].label(), min(b.maximizers))
+            choice[name] = (configs[ci].label(), min(b.best_alphas))
             for k in range(_N_STATS):
                 pooled[k] += b.stats[k]
         ideal[metric] = _metric_value(tuple(pooled), metric)

@@ -111,17 +111,6 @@ def _read_file(path: Path) -> str:
         return fh.read()
 
 
-def _process_file(args: tuple[str, str, frozenset[str]]) -> TokenDocument:
-    path_str, doc_id, stopwords = args
-    try:
-        text = _read_file(Path(path_str))
-    except OSError as exc:
-        # A module that cannot be read would drop out of the universe that
-        # source_files defines, so the whole run stops instead.
-        raise ValueError(f"{path_str}: cannot read: {exc.strerror or exc}") from None
-    return TokenDocument(id=doc_id, tokens=tokenize_text(text, stopwords))
-
-
 def module_id(path: Path, root: Path) -> str:
     """Snapshot-relative identity of a source file, with forward slashes."""
     return path.relative_to(root).as_posix()
@@ -147,24 +136,21 @@ def build_corpus(
     root: str | Path,
     extensions: Sequence[str] = DEFAULT_EXTENSIONS,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    jobs: int = 1,
 ) -> list[TokenDocument]:
     """Tokenize every file source_files lists under a snapshot root, in order.
 
-    A file that cannot be read raises ValueError naming its path. With
-    jobs > 1 files are processed in parallel; results are merged back into
-    module id order, so the corpus is identical for any job count.
+    A file that cannot be read raises ValueError naming its path.
     """
-    work = [
-        (str(path), doc_id, stopwords)
-        for doc_id, path in source_files(root, extensions)
-    ]
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_process_file, work))
-    return [_process_file(item) for item in work]
+    corpus = []
+    for doc_id, path in source_files(root, extensions):
+        try:
+            text = _read_file(path)
+        except OSError as exc:
+            # A module that cannot be read would drop out of the universe
+            # that source_files defines, so the whole run stops instead.
+            raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from None
+        corpus.append(TokenDocument(id=doc_id, tokens=tokenize_text(text, stopwords)))
+    return corpus
 
 
 def build_query(bug, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> TokenDocument:

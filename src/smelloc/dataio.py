@@ -399,23 +399,21 @@ def native_scores(
         yield report.id, scorer(build_query(report, stopwords), term_index)
 
 
-def prepare_system(
-    snapshot: SystemSnapshot, technique: str, jobs: int = 1
-) -> ScoredSystem:
+def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
     """Score one system under one technique, over that technique's universe.
 
-    Only what the technique scores is read: the source files, tokenized by
-    jobs workers, for a native technique, which ranks exactly the snapshot
-    modules; the technique's own dump for an external one. That dump may
-    mention extra modules; those stay in its universe, and universe modules
-    it skips score 0 (they rank at the bottom).
+    Only what the technique scores is read: the source files for a native
+    technique, which ranks exactly the snapshot modules; the technique's own
+    dump for an external one. That dump may mention extra modules; those
+    stay in its universe, and universe modules it skips score 0 (they rank
+    at the bottom).
     """
     from . import combine
 
     descriptor = snapshot.descriptor
     if technique in NATIVE_TECHNIQUES:
         universe = snapshot.modules
-        corpus = build_corpus(descriptor.snapshot_path, jobs=jobs)
+        corpus = build_corpus(descriptor.snapshot_path)
         by_bug = dict(native_scores(build_index(corpus), snapshot.reports, technique))
     elif technique in descriptor.external_score_paths:
         raw = load_external_scores(

@@ -371,8 +371,7 @@ def vanished_source(monkeypatch):
     """Make corpus.source_files list a Gone.java that no longer exists.
 
     Reading it fails as reading any unreadable source file does, also for
-    root and in every worker process, since the list is made before the
-    work is handed out. Returns the missing file's module id.
+    root. Returns the missing file's module id.
     """
     real = corpus_mod.source_files
 

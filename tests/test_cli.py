@@ -1463,20 +1463,39 @@ class TestCommonFlags:
         assert self._blend(hbase_fixture, config_out, "--run-config", str(run_config)) == 0
         assert config_out.read_bytes() == flag_out.read_bytes()
 
-    def test_bad_jobs_value(self, java_system, tmp_path, capsys):
-        rc = main(
-            [
-                "index",
-                "--snapshot",
-                str(java_system["src"]),
-                "--jobs",
-                "-1",
-                "--out",
-                str(tmp_path / "x.bin"),
-            ]
-        )
-        assert rc == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["index", "rank", "combine", "evaluate",
+                                         "risk", "config-search", "convert"])
+    def test_bad_jobs_value(self, java_system, tmp_path, capsys, command):
+        # Every command checks --jobs, also those that run in one process,
+        # whether the value comes from the command line or a run config.
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({"bug": b["id"], "module": m, "score": 0.5}) + "\n"
+            for b in JAVA_BUGS for m in JAVA_SNAPSHOT
+        ), encoding="utf-8")
+        repo = tmp_path / "repo.xml"
+        repo.write_text(TestConvertCommand.XML, encoding="utf-8")
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"jobs": 0}))
+        src, bugs = str(java_system["src"]), str(java_system["bugs"])
+        smells = str(java_system["smells"])
+        argv = {
+            "index": ["index", "--snapshot", src],
+            "rank": ["rank", "--technique", "vsm", "--bugs", bugs, "--snapshot", src],
+            "combine": ["combine", "--scores", str(scores), "--smells", smells,
+                        "--alpha", "0.5"],
+            "evaluate": ["evaluate", "--rankings", str(scores), "--bugs", bugs],
+            "risk": ["risk", "--smells", smells, "--snapshot", src, "--bugs", bugs],
+            "config-search": ["config-search", "--systems",
+                              str(java_system["descriptor"]), "--technique", "rvsm"],
+            "convert": ["convert", "--bugrepo", str(repo)],
+        }[command]
+        out = tmp_path / "out"
+        for bad in (["--jobs", "0"], ["--run-config", str(run_config)]):
+            assert main(argv + bad + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+            assert not out.exists()
+        assert main(argv + ["--jobs", "1", "--out", str(out)]) == 0, capsys.readouterr()
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -1592,6 +1611,25 @@ class TestStartup:
         quiet = _fresh_python("-c", script, *argv)
         assert quiet.returncode == 0, quiet.stderr
         assert quiet.stderr == ""
-        verbose = _fresh_python("-c", script, *argv, "--verbose")
-        assert verbose.returncode == 0, verbose.stderr
-        assert verbose.stderr == "INFO smelloc.cli: nothing excluded\n"
+        # Run as a script or as a module, the CLI logs under the same name.
+        for launch in (("-c", script), ("-m", "smelloc.cli")):
+            verbose = _fresh_python(*launch, *argv, "--verbose")
+            assert verbose.returncode == 0, verbose.stderr
+            assert verbose.stderr == "INFO smelloc.cli: nothing excluded\n", launch
+
+    def test_index_and_rank_start_no_process_pool(self, java_system, tmp_path):
+        # Tokenizing runs in one process; --jobs is for config-search only.
+        script = (
+            "import sys, smelloc.cli; rc = smelloc.cli.main(sys.argv[1:]); "
+            "print('concurrent.futures.process' in sys.modules); sys.exit(rc)"
+        )
+        src = str(java_system["src"])
+        commands = [
+            ["index", "--snapshot", src, "--out", str(tmp_path / "index.json")],
+            ["rank", "--technique", "rvsm", "--bugs", str(java_system["bugs"]),
+             "--snapshot", src, "--out", str(tmp_path / "r.jsonl")],
+        ]
+        for argv in commands:
+            proc = _fresh_python("-c", script, *argv, "--jobs", "2")
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "False", argv[0]

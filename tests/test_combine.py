@@ -25,10 +25,8 @@ from smelloc.combine import (
     enumerate_configs,
     make_config,
     normalize,
-    normalized_smell,
     optimize_alpha,
     parse_config_label,
-    sweep_all_metrics,
     sweep_alpha,
 )
 from smelloc.smells import (
@@ -73,6 +71,11 @@ def _system(modules, gold_by_bug, scores_by_bug, smells=()):
         ),
         TechniqueScores(technique="t", by_bug=scores_by_bug),
     )
+
+
+def _norm_smell(system, config):
+    """Normalized smell value of every module in the system's universe."""
+    return normalize(smell_values(system.modules, system.smells, config))
 
 
 class TestNormalize:
@@ -193,7 +196,7 @@ class TestNormalizedSmell:
                 SmellInstance(type=GOD, module="b", severity=10),
             ],
         )
-        out = normalized_smell(system, CLASS_ALL)
+        out = _norm_smell(system, CLASS_ALL)
         assert out == {"a": 1.0, "b": 10 / 13, "c": 0.0}
 
 
@@ -300,8 +303,8 @@ class TestSweep:
         rng = random.Random(90125)
         for trial in range(25):
             system, scores = random_system(rng, name=f"s{trial}")
-            sweeps = sweep_all_metrics(system, scores, CLASS_ALL)
-            norm_smell = normalized_smell(system, CLASS_ALL)
+            sweeps = {m: sweep_alpha(system, scores, CLASS_ALL, m) for m in METRIC_NAMES}
+            norm_smell = _norm_smell(system, CLASS_ALL)
             modules = sorted(system.modules)
             norm_scores = {
                 bug: normalize({m: scores.by_bug[bug].get(m, 0.0) for m in modules})
@@ -355,11 +358,10 @@ class TestSweep:
     def test_curve_shapes_from_maximizer_sets(self):
         def fake(best):
             return AlphaSweepResult(
-                config=CLASS_ALL,
-                metric="map",
                 values=(0.0,) * 101,
                 best_alphas=best,
                 best_value=1.0,
+                stats=(0.0,) * 6,
             )
 
         assert curve_shape(fake(ALPHA_GRID)) == "flat"
@@ -499,7 +501,7 @@ class TestSegmentMemo:
             reports = _reports(system, scores)
             modules = sorted(system.modules)
             for config in rng.sample(configs, 10):
-                norm_smell = normalized_smell(system, config)
+                norm_smell = _norm_smell(system, config)
                 smell_vec = [norm_smell[m] for m in modules]
                 assert _hex(_sweep_stats(reports, smell_vec, memo)) == _hex(
                     sweep_stats_by_columns(reports, smell_vec)
@@ -534,7 +536,7 @@ class TestExactSweep:
         for trial in range(30):
             system, scores = random_system(rng, name=f"s{trial}")
             for config in rng.sample(configs, 5):
-                norm_smell = normalized_smell(system, config)
+                norm_smell = _norm_smell(system, config)
                 assert _hex(_exact_sweep(system, scores, norm_smell)) == _hex(
                     sweep_stats_by_sorting(system, scores, norm_smell)
                 )
@@ -571,7 +573,7 @@ class TestExactSweep:
             reports = _reports(system, scores)
             modules = sorted(system.modules)
             for config in rng.sample(configs, 5):
-                norm_smell = normalized_smell(system, config)
+                norm_smell = _norm_smell(system, config)
                 smell_vec = [norm_smell[m] for m in modules]
                 assert _hex(_sweep_stats(reports, smell_vec)) == _hex(
                     sweep_stats_by_columns(reports, smell_vec)
@@ -637,10 +639,9 @@ class TestExactSweep:
             {"r1": {"ghost"}, "r2": {"a"}},
             {"r1": {"a": 1.0, "b": 0.5}, "r2": {"a": 1.0, "b": 0.5}},
         )
-        sweeps = sweep_all_metrics(system, scores, CLASS_ALL)
         for metric in METRIC_NAMES:
-            assert set(sweeps[metric].values) == {0.5}
-        stats = _exact_sweep(system, scores, normalized_smell(system, CLASS_ALL))
+            assert set(sweep_alpha(system, scores, CLASS_ALL, metric).values) == {0.5}
+        stats = _exact_sweep(system, scores, _norm_smell(system, CLASS_ALL))
         assert set(stats) == {(1.0, 1.0, 1.0, 1.0, 1.0, 2.0)}
 
     def test_negative_scores_warn_once_per_report(self, caplog):
@@ -805,6 +806,21 @@ class TestConfigSearch:
         serial = config_search(systems, configs, jobs=1)
         parallel = config_search(systems, configs, jobs=2)
         assert serial == parallel
+
+    def test_sweep_alpha_equals_config_search_curve(self):
+        # One sweep driver: combine --sweep reads what config-search reports.
+        rng = random.Random(6061)
+        configs = enumerate_configs(TRIVIAL_SELECTORS)
+        for trial in range(12):
+            system, scores = random_system(rng, name=f"s{trial}", ensure_smells=True)
+            config = rng.choice(configs)
+            row = config_search([(system, scores)], [config]).rows[0]
+            for metric in METRIC_NAMES:
+                result = sweep_alpha(system, scores, config, metric)
+                curve = row.curves[system.name][metric]
+                assert [v.hex() for v in result.values] == [v.hex() for v in curve]
+                assert result.best_alphas == row.outcomes[metric].maximizers[system.name]
+                assert result.best_value.hex() == row.outcomes[metric].value.hex()
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="no systems"):

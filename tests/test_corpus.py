@@ -182,22 +182,17 @@ class TestBuildCorpus:
         both = build_corpus(tmp_path, extensions=(".java", ".txt"))
         assert [d.id for d in both] == ["A.java", "B.txt"]
 
-    def test_parallel_equals_serial(self, tmp_path):
-        fixture = write_java_system(tmp_path)
-        assert build_corpus(fixture["src"], jobs=3) == build_corpus(fixture["src"])
-
     def test_undecodable_bytes_replaced(self, tmp_path):
         (tmp_path / "A.java").write_bytes(b"class Alpha { \xff\xfe int beta; }")
         docs = build_corpus(tmp_path)
         assert "alpha" in docs[0].tokens and "beta" in docs[0].tokens
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_unreadable_file_raises_naming_it(self, tmp_path, vanished_source, jobs):
+    def test_unreadable_file_raises_naming_it(self, tmp_path, vanished_source):
         # Skipping it would drop a module that source_files lists.
         (tmp_path / "A.java").write_text("class Alpha {}", encoding="utf-8")
         (tmp_path / "B.java").write_text("class Beta {}", encoding="utf-8")
         with pytest.raises(ValueError) as err:
-            build_corpus(tmp_path, jobs=jobs)
+            build_corpus(tmp_path)
         assert str(err.value).startswith(f"{tmp_path / vanished_source}: cannot read: ")
 
     def test_read_error_names_the_os_reason(self, tmp_path, monkeypatch):

@@ -702,7 +702,7 @@ class TestPrepareSystem:
     def test_native_technique_reads_no_dump(self, java_system, monkeypatch):
         _forbid(monkeypatch, "load_external_scores")
         path = _with_dumps(java_system, broken="{not json\n")
-        system, _ = prepare_system(load_system(load_descriptor(path)), "vsm", jobs=2)
+        system, _ = prepare_system(load_system(load_descriptor(path)), "vsm")
         assert system.modules == tuple(sorted(JAVA_SNAPSHOT))
 
 
