@@ -28,6 +28,8 @@ from .stopwords import DEFAULT_STOPWORDS, load_stopwords, read_json, read_utf8
 # A fixed name, so log lines read the same when run as python -m smelloc.cli.
 logger = log.get_logger("smelloc.cli")
 
+# metrics.METRIC_NAMES, copied so that importing the CLI loads no metrics
+# code; a test keeps the two equal.
 STAT_METRICS = ("top1", "top5", "top10", "mrr", "map")
 
 
@@ -167,7 +169,10 @@ def cmd_rank(args) -> int:
             per_bug = scores.by_bug.get(report.id)
             if per_bug is None:
                 raise UsageError(f"no scores for bug {report.id!r} in {args.scores}")
-            rankings.append(rank(per_bug, report.id, name))
+            try:
+                rankings.append(rank(per_bug, report.id, name))
+            except ValueError as exc:
+                raise UsageError(f"{args.scores}: bug {report.id!r}: {exc}") from exc
         inputs = {"bugs": args.bugs, "scores": args.scores}
     else:
         raise UsageError(
@@ -245,7 +250,12 @@ def cmd_combine(args) -> int:
             gold={r.id: r.gold for r in reports},
             smells=smells,
         )
-        result = combine.sweep_alpha(system, scores, config, metric)
+        try:
+            result = combine.sweep_alpha(system, scores, config, metric)
+        except ValueError as exc:
+            # Every other input was checked as it was read; a score can
+            # still be NaN or infinite, and the sweep names its bug.
+            raise UsageError(f"{args.scores}: {exc}") from exc
         shape = combine.curve_shape(result)
         if args.format == "json":
             payload = {
@@ -282,7 +292,10 @@ def cmd_combine(args) -> int:
     norm_smell = combine.normalize(smell_values(universe, smells, config))
     rankings = []
     for bug_id, per_bug in scores.by_bug.items():
-        norm_score = combine.normalize({m: per_bug.get(m, 0.0) for m in universe})
+        try:
+            norm_score = combine.normalize({m: per_bug.get(m, 0.0) for m in universe})
+        except ValueError as exc:
+            raise UsageError(f"{args.scores}: bug {bug_id!r}: {exc}") from exc
         blended = combine.blend(norm_score, norm_smell, alpha)
         rankings.append(rank(blended, bug_id, f"blend:{config.label()}"))
     dataio.write_score_lines(args.out, rankings)
@@ -311,7 +324,7 @@ def _outcomes_from_dump(path: Path, reports) -> list:
 
 
 def cmd_evaluate(args) -> int:
-    from .metrics import comparison_stats, metric_report, per_report_values
+    from .metrics import comparison_stats, metric_report, per_report_values, reciprocal_rank
 
     reports = dataio.load_bug_reports(_require_file(args.bugs, "bug reports"))
     if not reports:
@@ -344,9 +357,7 @@ def cmd_evaluate(args) -> int:
                 {
                     "bug": o.bug_id,
                     "rank_of_first_gold": o.rank_of_first_gold,
-                    "reciprocal_rank": 1.0 / o.rank_of_first_gold
-                    if o.rank_of_first_gold
-                    else 0.0,
+                    "reciprocal_rank": reciprocal_rank(o),
                     "average_precision": o.average_precision,
                 }
                 for o in outcomes
@@ -506,14 +517,17 @@ def cmd_config_search(args) -> int:
                     "systems_improved": row.systems_improved,
                     "metrics": {
                         metric: {
-                            "value": outcome.value,
-                            "chosen_alpha": outcome.chosen_alpha,
+                            "value": value,
+                            "chosen_alpha": {
+                                name: combine.optimize_alpha(sweeps[metric])
+                                for name, sweeps in row.sweeps.items()
+                            },
                             "maximizers": {
-                                name: list(alphas)
-                                for name, alphas in outcome.maximizers.items()
+                                name: list(sweeps[metric].best_alphas)
+                                for name, sweeps in row.sweeps.items()
                             },
                         }
-                        for metric, outcome in row.outcomes.items()
+                        for metric, value in row.values.items()
                     },
                     "curves": {
                         name: {m: list(c) for m, c in per_metric.items()}
@@ -541,7 +555,7 @@ def cmd_config_search(args) -> int:
             for row in report.rows:
                 writer.writerow(
                     [row.config.label()]
-                    + [_fmt(row.outcomes[m].value) for m in STAT_METRICS]
+                    + [_fmt(row.values[m]) for m in STAT_METRICS]
                     + [row.systems_improved, "yes" if row.original_index else ""]
                 )
             writer.writerow(
@@ -553,7 +567,7 @@ def cmd_config_search(args) -> int:
     best = report.rows[0]
     print(
         f"searched {len(configs)} configurations over {len(kept)} systems: "
-        f"best map {_fmt(best.outcomes['map'].value)} ({best.config.label()}), "
+        f"best map {_fmt(best.values['map'])} ({best.config.label()}), "
         f"ideal map {_fmt(report.ideal['map'])} -> {args.out}"
     )
     return 0
@@ -605,6 +619,12 @@ def cmd_convert(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
+    manifest.write_sidecar_manifest(
+        args.out,
+        manifest.build_manifest(
+            sys.argv[1:], {"bugrepo": args.bugrepo}, config_path=args.run_config
+        ),
+    )
     print(f"converted {len(records)} bug reports -> {args.out}")
     return 0
 
@@ -620,7 +640,6 @@ def _common_flags() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for config-search's per-system sweeps (default 1)",
     )
-    common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument(
         "--run-config",
         default=None,
@@ -669,6 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--metric", choices=STAT_METRICS)
+    p.add_argument("--format", choices=("csv", "json"), help="default csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_combine)
 
@@ -676,6 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rankings", required=True)
     p.add_argument("--bugs", required=True)
     p.add_argument("--compare", help="baseline ranking dump for paired statistics")
+    p.add_argument("--format", choices=("csv", "json"), help="default json")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -695,6 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--technique", required=True)
     p.add_argument("--selectors", help="selector-set JSON (default: derived from the data)")
     p.add_argument("--include-single-type", action="store_true")
+    p.add_argument("--format", choices=("csv", "json"), help="default csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_config_search)
 

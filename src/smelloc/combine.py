@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 from .dataio import TechniqueScores
 from .log import get_logger
+from .metrics import METRIC_NAMES, report_stats
 from .smells import (
     AGGREGATORS,
     BOTH_GRANULARITIES,
@@ -41,8 +42,6 @@ from .smells import (
 logger = get_logger(__name__)
 
 ALPHA_GRID: tuple[float, ...] = tuple(i / 100 for i in range(101))
-
-METRIC_NAMES = ("top1", "top5", "top10", "mrr", "map")
 
 GRANULARITY_LABELS = {
     "g1": CLASS_GRANULARITY,
@@ -74,21 +73,28 @@ class AlphaSweepResult:
 
 
 @dataclass(frozen=True)
-class ConfigOutcome:
-    """One configuration's result for one metric across all systems."""
-
-    value: float  # pooled over every bug report at per-system best alpha
-    chosen_alpha: dict[str, float]  # system -> smallest maximizing alpha
-    maximizers: dict[str, tuple[float, ...]]  # system -> full maximizer set
-
-
-@dataclass(frozen=True)
 class ConfigRow:
+    """One configuration's pooled values and the sweeps they were pooled from."""
+
     config: SmellConfiguration
-    outcomes: dict[str, ConfigOutcome]  # per metric
-    systems_improved: int  # systems whose chosen alpha (for map) is > 0
+    values: dict[str, float]  # per metric, pooled over every bug report
+    # system -> metric -> sweep, shared by the configurations whose smell
+    # maps are equal; each system's value is taken at optimize_alpha(sweep)
+    sweeps: dict[str, dict[str, AlphaSweepResult]]
     original_index: bool
-    curves: dict[str, dict[str, tuple[float, ...]]]  # system -> metric -> curve
+
+    @property
+    def systems_improved(self) -> int:
+        """Systems whose chosen alpha for map is above 0."""
+        return sum(1 for s in self.sweeps.values() if optimize_alpha(s["map"]) > 0)
+
+    @property
+    def curves(self) -> dict[str, dict[str, tuple[float, ...]]]:
+        """system -> metric -> the metric over ALPHA_GRID."""
+        return {
+            name: {metric: sweep.values for metric, sweep in by_metric.items()}
+            for name, by_metric in self.sweeps.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,10 @@ def _reports(system: System, scores: TechniqueScores) -> list[_Report]:
     reports = []
     for bug_id in system.bug_ids:
         raw = scores.by_bug.get(bug_id, {})
-        norm_score = normalize({m: raw.get(m, 0.0) for m in modules})
+        try:
+            norm_score = normalize({m: raw.get(m, 0.0) for m in modules})
+        except ValueError as exc:
+            raise ValueError(f"bug {bug_id!r}: {exc}") from None
         gold = system.gold[bug_id]
         if not gold:
             raise ValueError("empty gold set")
@@ -285,24 +294,6 @@ def _ahead_counts(
     return list(accumulate(diff[: last + 1]))
 
 
-def _report_stats(positions: Sequence[int], gold_count: int) -> tuple[float, ...]:
-    """Hits at 1, 5 and 10, reciprocal rank and average precision of one
-    report whose ranked gold modules sit at the given ascending positions."""
-    if not positions:
-        return (0.0, 0.0, 0.0, 0.0, 0.0)
-    rank = positions[0]
-    precision_sum = 0.0
-    for hits, position in enumerate(positions, start=1):
-        precision_sum += hits / position
-    return (
-        1.0 if rank <= 1 else 0.0,
-        1.0 if rank <= 5 else 0.0,
-        1.0 if rank <= 10 else 0.0,
-        1.0 / rank,
-        precision_sum / gold_count,
-    )
-
-
 def _sweep_stats(
     reports: Sequence[_Report],
     smell_vec: Sequence[float],
@@ -330,14 +321,14 @@ def _sweep_stats(
         gold_count = report.gold_count
         ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
         if not ahead:
-            starts[0].append((r, _report_stats((), gold_count)))
+            starts[0].append((r, report_stats((), gold_count)))
             continue
         i = 0
         for counts, run in groupby(zip(*ahead)):
             key = (counts, gold_count)
             stats = memo.get(key)
             if stats is None:
-                stats = memo[key] = _report_stats(
+                stats = memo[key] = report_stats(
                     sorted(c + 1 for c in counts), gold_count
                 )
             starts[i].append((r, stats))
@@ -365,11 +356,16 @@ def _sweep_stats(
     return out
 
 
-def _metric_value(stats: tuple[float, ...], metric: str) -> float:
-    n = stats[5]
-    if n == 0:
-        raise ValueError("no bug reports")
-    return stats[_STAT_INDEX[metric]] / n
+def _pooled(sweeps: Sequence[AlphaSweepResult], metric: str) -> float:
+    """A metric over the bug reports of every sweep, each at its smallest
+    maximizer. The stats are added in a left fold from 0.0 over the sweeps
+    in their given order, the same bits for a row and for the ideal. Each
+    sweep's curve already required reports, so the pooled count is not 0."""
+    pooled = [0.0] * _N_STATS
+    for sweep in sweeps:
+        for k in range(_N_STATS):
+            pooled[k] += sweep.stats[k]
+    return pooled[_STAT_INDEX[metric]] / pooled[5]
 
 
 def _curve(stats_by_alpha: Sequence[tuple[float, ...]], metric: str) -> tuple[float, ...]:
@@ -571,62 +567,35 @@ def config_search(
 
     rows = []
     for ci, config in enumerate(configs):
-        outcomes = {}
-        for metric in METRIC_NAMES:
-            chosen: dict[str, float] = {}
-            maximizers: dict[str, tuple[float, ...]] = {}
-            pooled = [0.0] * _N_STATS
-            for si, name in enumerate(system_names):
-                b = best[si][ci][metric]
-                chosen[name] = min(b.best_alphas)
-                maximizers[name] = b.best_alphas
-                for k in range(_N_STATS):
-                    pooled[k] += b.stats[k]
-            outcomes[metric] = ConfigOutcome(
-                value=_metric_value(tuple(pooled), metric),
-                chosen_alpha=chosen,
-                maximizers=maximizers,
-            )
+        sweeps = {name: best[si][ci] for si, name in enumerate(system_names)}
         rows.append(
             ConfigRow(
                 config=config,
-                outcomes=outcomes,
-                systems_improved=sum(
-                    1 for a in outcomes["map"].chosen_alpha.values() if a > 0
-                ),
-                original_index=is_original_index(config),
-                curves={
-                    name: {m: b.values for m, b in best[si][ci].items()}
-                    for si, name in enumerate(system_names)
+                values={
+                    metric: _pooled([s[metric] for s in sweeps.values()], metric)
+                    for metric in METRIC_NAMES
                 },
+                sweeps=sweeps,
+                original_index=is_original_index(config),
             )
         )
 
     ideal: dict[str, float] = {}
     ideal_choice: dict[str, dict[str, tuple[str, float]]] = {}
     for metric in METRIC_NAMES:
-        pooled = [0.0] * _N_STATS
+        picks = []
         choice: dict[str, tuple[str, float]] = {}
-        for si, name in enumerate(system_names):
+        for name, by_config in zip(system_names, best):
             # The first configuration with the highest peak wins ties.
-            top = None
-            for ci, by_metric in enumerate(best[si]):
-                b = by_metric[metric]
-                if top is None or b.best_value > top[1].best_value:
-                    top = (ci, b)
-            ci, b = top
-            choice[name] = (configs[ci].label(), min(b.best_alphas))
-            for k in range(_N_STATS):
-                pooled[k] += b.stats[k]
-        ideal[metric] = _metric_value(tuple(pooled), metric)
+            ci = max(range(len(configs)), key=lambda c: by_config[c][metric].best_value)
+            pick = by_config[ci][metric]
+            picks.append(pick)
+            choice[name] = (configs[ci].label(), optimize_alpha(pick))
+        ideal[metric] = _pooled(picks, metric)
         ideal_choice[metric] = choice
 
-    order = sorted(
-        range(len(rows)),
-        key=lambda i: (-rows[i].outcomes["map"].value, rows[i].config.label()),
-    )
     return ConfigSearchReport(
-        rows=tuple(rows[i] for i in order),
+        rows=tuple(sorted(rows, key=lambda row: (-row.values["map"], row.config.label()))),
         ideal=ideal,
         ideal_choice=ideal_choice,
         ideal_systems_improved=sum(

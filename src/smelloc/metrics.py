@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from statistics import NormalDist
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 TOP_CUTOFFS = (1, 5, 10)
+
+# The order of report_stats' values.
+METRIC_NAMES = ("top1", "top5", "top10", "mrr", "map")
 
 # Romano et al. thresholds on |d|.
 _EFFECT_LABELS = ((0.147, "negligible"), (0.33, "small"), (0.474, "medium"))
@@ -25,10 +27,8 @@ class RankingOutcome(NamedTuple):
     """Everything the metrics need to know about one evaluated ranking."""
 
     bug_id: str
-    gold_set: frozenset
     rank_of_first_gold: int | None
     average_precision: float
-    top_hits: dict[int, bool]
 
 
 class MetricReport(NamedTuple):
@@ -36,7 +36,26 @@ class MetricReport(NamedTuple):
     counts: dict[int, int]  # cutoff -> exact integer hit count
     mrr: float
     mean_ap: float
-    outcomes: tuple[RankingOutcome, ...]
+
+
+def report_stats(positions: Sequence[int], gold_count: int) -> tuple[float, ...]:
+    """One report's values of METRIC_NAMES: hits at 1, 5 and 10, reciprocal
+    rank and average precision, given the ascending 1-based positions of its
+    ranked gold modules and its gold count, which also counts gold modules
+    the ranking lacks."""
+    if not positions:
+        return (0.0,) * len(METRIC_NAMES)
+    rank = positions[0]
+    precision_sum = 0.0
+    for hits, position in enumerate(positions, start=1):
+        precision_sum += hits / position
+    return (
+        1.0 if rank <= 1 else 0.0,
+        1.0 if rank <= 5 else 0.0,
+        1.0 if rank <= 10 else 0.0,
+        1.0 / rank,
+        precision_sum / gold_count,
+    )
 
 
 def ranking_stats(
@@ -51,31 +70,17 @@ def ranking_stats(
     gold = set(gold_set)
     if not gold:
         raise ValueError("empty gold set")
-    hits = 0
-    first = None
-    precision_sum = 0.0
-    for position, module in enumerate(ordered, start=1):
-        if module in gold:
-            hits += 1
-            if first is None:
-                first = position
-            precision_sum += hits / position
-    return first, precision_sum / len(gold)
+    positions = [p for p, module in enumerate(ordered, start=1) if module in gold]
+    *_, average_precision = report_stats(positions, len(gold))
+    return positions[0] if positions else None, average_precision
 
 
 def evaluate_ranking(
     ordered: Sequence[Hashable], gold_set: Iterable[Hashable], bug_id: str = ""
 ) -> RankingOutcome:
     """Evaluate one ranking against its gold set."""
-    gold = frozenset(gold_set)
-    rank, ap = ranking_stats(ordered, gold)
-    return RankingOutcome(
-        bug_id=bug_id,
-        gold_set=gold,
-        rank_of_first_gold=rank,
-        average_precision=ap,
-        top_hits={n: rank is not None and rank <= n for n in TOP_CUTOFFS},
-    )
+    rank, ap = ranking_stats(ordered, gold_set)
+    return RankingOutcome(bug_id=bug_id, rank_of_first_gold=rank, average_precision=ap)
 
 
 def reciprocal_rank(outcome: RankingOutcome) -> float:
@@ -115,7 +120,6 @@ def metric_report(outcomes: Sequence[RankingOutcome]) -> MetricReport:
         counts=counts,
         mrr=mean_reciprocal_rank(outcomes),
         mean_ap=mean_average_precision(outcomes),
-        outcomes=tuple(outcomes),
     )
 
 
@@ -127,6 +131,9 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> float:
     correction, and the statistic is continuity-corrected by 0.5 toward its
     mean before the z-score.
     """
+    # Imported here so a process that only sweeps does not load statistics.
+    from statistics import NormalDist
+
     if len(x) != len(y):
         raise ValueError(f"paired samples differ in length: {len(x)} vs {len(y)}")
     diffs = [a - b for a, b in zip(x, y) if a != b]

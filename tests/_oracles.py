@@ -37,10 +37,9 @@ from smelloc.combine import (
     ALPHA_GRID,
     TechniqueScores,
     _ahead_counts,
-    _report_stats,
     normalize,
 )
-from smelloc.metrics import ranking_stats
+from smelloc.metrics import ranking_stats, report_stats
 from smelloc.smells import _aggregator, select_instances
 
 # The score-dump oracles warn under the loader's own logger name.
@@ -738,11 +737,11 @@ def sweep_stats_by_columns(reports, smell_vec):
     for report in reports:
         ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
         if not ahead:
-            columns.append([_report_stats((), report.gold_count)] * len(ALPHA_GRID))
+            columns.append([report_stats((), report.gold_count)] * len(ALPHA_GRID))
             continue
         column = []
         for counts, run in groupby(zip(*ahead)):
-            stats = _report_stats(sorted(c + 1 for c in counts), report.gold_count)
+            stats = report_stats(sorted(c + 1 for c in counts), report.gold_count)
             column.extend([stats] * len(list(run)))
         columns.append(column)
     out = []

@@ -30,6 +30,7 @@ from smelloc.combine import (
 )
 from smelloc.index import rank
 from smelloc.metrics import (
+    METRIC_NAMES,
     cliffs_delta,
     effect_size_label,
     evaluate_ranking,
@@ -66,8 +67,6 @@ from conftest import (
     write_hbase_fixture,
     write_java_system,
 )
-
-STAT_METRICS = ("top1", "top5", "top10", "mrr", "map")
 
 # Five selector sets with distinct proper subsets, so the enumeration and
 # dominance checks run over the same shape of grid the search command uses.
@@ -327,8 +326,8 @@ def test_ideal_bound_dominates_configurations():
             for k in range(2)
         ]
         report = config_search(pairs, configs)
-        for metric in STAT_METRICS:
-            best_fixed = max(row.outcomes[metric].value for row in report.rows)
+        for metric in METRIC_NAMES:
+            best_fixed = max(row.values[metric] for row in report.rows)
             if report.ideal[metric] < best_fixed - 1e-12:
                 violations += 1
     _verdict(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -15,7 +16,7 @@ from smelloc.cli import main
 from smelloc.index import load_index
 from smelloc.smells import ALL_TYPE_NAMES
 
-from conftest import HBASE_SCORES, JAVA_BUGS, JAVA_SNAPSHOT
+from conftest import HBASE_BUG, HBASE_SCORES, JAVA_BUGS, JAVA_SNAPSHOT
 
 
 def _read_jsonl(path):
@@ -1082,6 +1083,13 @@ class TestConvertCommand:
         assert records[0]["summary"] == "scanner crash"
         assert records[0]["gold"] == ["com/app/Flush.java", "com/app/Store.java"]
         assert any("no fixed files" in r.message for r in caplog.records)
+        sidecar = _read_json(tmp_path / "bugs.json.manifest.json")
+        assert sidecar["inputs"] == {
+            "bugrepo": {
+                "path": str(repo),
+                "sha256": hashlib.sha256(repo.read_bytes()).hexdigest(),
+            }
+        }
 
     def test_converted_file_loads_as_bug_reports(self, tmp_path):
         repo = tmp_path / "repo.xml"
@@ -1110,6 +1118,28 @@ class TestConvertCommand:
 
 
 class TestStrictInputs:
+    @pytest.mark.parametrize("command", ["rank", "combine-alpha", "combine-sweep"])
+    def test_non_finite_score_names_dump_and_bug(self, hbase_fixture, tmp_path, capsys,
+                                                 command):
+        scores = tmp_path / "nan.jsonl"
+        scores.write_text("".join(
+            json.dumps({"bug": HBASE_BUG, "module": module,
+                        "score": float("nan") if module == "HLog" else value}) + "\n"
+            for module, value in HBASE_SCORES.items()
+        ), encoding="utf-8")
+        bugs, smells = str(hbase_fixture["bugs"]), str(hbase_fixture["smells"])
+        argv = {
+            "rank": ["rank", "--technique", "external:x", "--bugs", bugs],
+            "combine-alpha": ["combine", "--smells", smells, "--alpha", "0.5"],
+            "combine-sweep": ["combine", "--smells", smells, "--bugs", bugs, "--sweep"],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--scores", str(scores), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scores}: bug {HBASE_BUG!r}: "), err
+        assert err.endswith(" score for module 'HLog': nan\n"), err
+        assert not out.exists()
+
     def test_string_gold_exits_2(self, java_system, tmp_path, capsys):
         bugs = tmp_path / "bugs.json"
         bugs.write_text(
@@ -1463,11 +1493,9 @@ class TestCommonFlags:
         assert self._blend(hbase_fixture, config_out, "--run-config", str(run_config)) == 0
         assert config_out.read_bytes() == flag_out.read_bytes()
 
-    @pytest.mark.parametrize("command", ["index", "rank", "combine", "evaluate",
-                                         "risk", "config-search", "convert"])
-    def test_bad_jobs_value(self, java_system, tmp_path, capsys, command):
-        # Every command checks --jobs, also those that run in one process,
-        # whether the value comes from the command line or a run config.
+    @staticmethod
+    def _argv(java_system, tmp_path, command):
+        """A command line that runs the command on the Java system, less --out."""
         scores = tmp_path / "scores.jsonl"
         scores.write_text("".join(
             json.dumps({"bug": b["id"], "module": m, "score": 0.5}) + "\n"
@@ -1475,11 +1503,9 @@ class TestCommonFlags:
         ), encoding="utf-8")
         repo = tmp_path / "repo.xml"
         repo.write_text(TestConvertCommand.XML, encoding="utf-8")
-        run_config = tmp_path / "run.json"
-        run_config.write_text(json.dumps({"jobs": 0}))
         src, bugs = str(java_system["src"]), str(java_system["bugs"])
         smells = str(java_system["smells"])
-        argv = {
+        return {
             "index": ["index", "--snapshot", src],
             "rank": ["rank", "--technique", "vsm", "--bugs", bugs, "--snapshot", src],
             "combine": ["combine", "--scores", str(scores), "--smells", smells,
@@ -1490,12 +1516,35 @@ class TestCommonFlags:
                               str(java_system["descriptor"]), "--technique", "rvsm"],
             "convert": ["convert", "--bugrepo", str(repo)],
         }[command]
+
+    @pytest.mark.parametrize("command", ["index", "rank", "combine", "evaluate",
+                                         "risk", "config-search", "convert"])
+    def test_bad_jobs_value(self, java_system, tmp_path, capsys, command):
+        # Every command checks --jobs, also those that run in one process,
+        # whether the value comes from the command line or a run config.
+        argv = self._argv(java_system, tmp_path, command)
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"jobs": 0}))
         out = tmp_path / "out"
         for bad in (["--jobs", "0"], ["--run-config", str(run_config)]):
             assert main(argv + bad + ["--out", str(out)]) == 2
             assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
             assert not out.exists()
         assert main(argv + ["--jobs", "1", "--out", str(out)]) == 0, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["index", "rank", "risk", "convert"])
+    def test_format_only_on_report_commands(self, java_system, tmp_path, capsys, command):
+        # Only combine, evaluate and config-search choose between CSV and JSON.
+        argv = self._argv(java_system, tmp_path, command)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        # A run config's format key is another command's flag, so it is ignored.
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"format": "csv"}))
+        assert main(argv + ["--run-config", str(run_config), "--out", str(out)]) == 0
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -1522,6 +1571,11 @@ class TestStartup:
         "csv",
     )
 
+    def test_cli_metric_names_equal_the_metrics_module(self):
+        from smelloc import metrics
+
+        assert smelloc.cli.STAT_METRICS == metrics.METRIC_NAMES
+
     def test_cli_import_leaves_command_modules_unloaded(self):
         proc = _fresh_python(
             "-c",
@@ -1547,6 +1601,20 @@ class TestStartup:
         assert {
             "smelloc.combine", "smelloc.risk", "smelloc.metrics", "smelloc.smells"
         }.isdisjoint(loaded)
+
+    def test_combine_sweep_leaves_statistics_unloaded(self, hbase_fixture, tmp_path):
+        # combine takes the metric names and per-report stats from metrics;
+        # only the signed-rank test and the median aggregators need statistics.
+        script = (
+            "import sys, smelloc.cli; rc = smelloc.cli.main(sys.argv[1:]); "
+            "print('statistics' in sys.modules); sys.exit(rc)"
+        )
+        argv = ["combine", "--scores", str(hbase_fixture["scores"]),
+                "--smells", str(hbase_fixture["smells"]), "--bugs", str(hbase_fixture["bugs"]),
+                "--sweep", "--config", "g3,a5,s1", "--out", str(tmp_path / "s.csv")]
+        proc = _fresh_python("-c", script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     # Start-up costs that the per-query commands do not need to pay.
     STARTUP = ("dataclasses", "logging", "traceback")

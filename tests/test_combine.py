@@ -15,7 +15,6 @@ from smelloc.combine import (
     System,
     TechniqueScores,
     _ahead_counts,
-    _report_stats,
     _reports,
     _sweep_stats,
     _system_task,
@@ -29,6 +28,7 @@ from smelloc.combine import (
     parse_config_label,
     sweep_alpha,
 )
+from smelloc.metrics import report_stats
 from smelloc.smells import (
     ALL_TYPE_NAMES,
     SMELL_TYPE_BY_NAME,
@@ -490,7 +490,7 @@ class TestAheadCounts:
 
 class TestSegmentMemo:
     """Segment stats memoized on (ahead counts, gold count) equal
-    _report_stats of the sorted gold ranks."""
+    report_stats of the sorted gold ranks."""
 
     def test_one_memo_over_two_systems(self):
         rng = random.Random(808)
@@ -508,7 +508,7 @@ class TestSegmentMemo:
                 )
         assert memo
         for (counts, gold_count), stats in memo.items():
-            assert stats == _report_stats(sorted(c + 1 for c in counts), gold_count)
+            assert stats == report_stats(sorted(c + 1 for c in counts), gold_count)
 
     def test_system_tasks_in_one_process_match_column_pooling(self):
         rng = random.Random(909)
@@ -761,16 +761,16 @@ class TestConfigSearch:
         report = config_search(self._two_systems(), [CLASS_ALL])
         row = report.rows[0]
         # top1 hits: sys1 1/1, sys2 1/3; pooled 2/4, not (1 + 1/3) / 2.
-        assert row.outcomes["top1"].value == 0.5
+        assert row.values["top1"] == 0.5
 
     def test_mountain_system_improves_and_picks_smallest_alpha(self):
         report = config_search([_mountain_system()], [CLASS_ALL])
         row = report.rows[0]
-        assert row.outcomes["mrr"].chosen_alpha["sys"] == 0.10
-        assert row.outcomes["mrr"].maximizers["sys"] == tuple(
+        assert optimize_alpha(row.sweeps["sys"]["mrr"]) == 0.10
+        assert row.sweeps["sys"]["mrr"].best_alphas == tuple(
             a for a in ALPHA_GRID if 1 / 11 < a <= 2 / 7
         )
-        assert row.outcomes["mrr"].value == 1.0
+        assert row.values["mrr"] == 1.0
         assert row.systems_improved == 1
 
     def test_ideal_bounds_every_row(self):
@@ -781,7 +781,7 @@ class TestConfigSearch:
         configs = enumerate_configs(TRIVIAL_SELECTORS)[:12]
         report = config_search(systems, configs)
         for metric in METRIC_NAMES:
-            best_row = max(row.outcomes[metric].value for row in report.rows)
+            best_row = max(row.values[metric] for row in report.rows)
             assert report.ideal[metric] >= best_row - 1e-12
         for metric, choice in report.ideal_choice.items():
             assert set(choice) == set(report.systems)
@@ -795,7 +795,7 @@ class TestConfigSearch:
         configs = enumerate_configs(TRIVIAL_SELECTORS)[:20]
         report = config_search(systems, configs)
         keys = [
-            (-row.outcomes["map"].value, row.config.label()) for row in report.rows
+            (-row.values["map"], row.config.label()) for row in report.rows
         ]
         assert keys == sorted(keys)
 
@@ -819,8 +819,8 @@ class TestConfigSearch:
                 result = sweep_alpha(system, scores, config, metric)
                 curve = row.curves[system.name][metric]
                 assert [v.hex() for v in result.values] == [v.hex() for v in curve]
-                assert result.best_alphas == row.outcomes[metric].maximizers[system.name]
-                assert result.best_value.hex() == row.outcomes[metric].value.hex()
+                assert result.best_alphas == row.sweeps[system.name][metric].best_alphas
+                assert result.best_value.hex() == row.values[metric].hex()
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="no systems"):
@@ -838,7 +838,7 @@ class TestConfigSearch:
         )
         report = config_search([system], [CLASS_ALL])
         row = report.rows[0]
-        assert row.outcomes["map"].chosen_alpha["sys"] == 0.0
+        assert optimize_alpha(row.sweeps["sys"]["map"]) == 0.0
         assert row.systems_improved == 0
         assert report.ideal_systems_improved == 0
 
