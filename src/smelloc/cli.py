@@ -144,6 +144,8 @@ def _term_index(args, stopwords: frozenset[str]) -> TermIndex:
 def cmd_rank(args) -> int:
     technique = args.technique
     reports = dataio.load_bug_reports(_require_file(args.bugs, "bug reports"))
+    # A dump's other bugs are known even when --bug ranks only one of them.
+    known = [r.id for r in reports]
     if args.bug is not None:
         reports = tuple(r for r in reports if r.id == args.bug)
         if not reports:
@@ -162,7 +164,7 @@ def cmd_rank(args) -> int:
         if not args.scores:
             raise UsageError("external techniques need --scores")
         scores = dataio.load_external_scores(
-            _require_file(args.scores, "scores"), name, known_bugs=[r.id for r in reports]
+            _require_file(args.scores, "scores"), name, known_bugs=known
         )
         rankings = []
         for report in reports:
@@ -243,6 +245,15 @@ def cmd_combine(args) -> int:
         bug_ids = tuple(r.id for r in reports if r.id in scores.by_bug)
         if not bug_ids:
             raise UsageError("no bug report in --bugs has scores")
+        unscored = [r.id for r in reports if r.id not in scores.by_bug]
+        if unscored:
+            logger.warning(
+                "%s: %d bug reports in --bugs have no scores and are left out "
+                "of the sweep (e.g. %s)",
+                args.scores,
+                len(unscored),
+                ", ".join(unscored[:5]),
+            )
         system = combine.System(
             name="input",
             modules=universe,

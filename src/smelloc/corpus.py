@@ -81,19 +81,19 @@ def normalize_tokens(
 ) -> tuple[str, ...]:
     """Lowercase, drop stopwords / single characters / pure numbers, and stem.
 
-    The noise filter runs again after stemming because a stem can land on a
-    stopword or a single character ("beings" -> "be", "ies" -> "i"). Output
-    tokens are fixpoints of the whole function, so normalizing an already
-    normalized list is the identity.
+    The noise filter runs again on a token that stemming changed, because a
+    stem can land on a stopword or a single character ("beings" -> "be",
+    "ies" -> "i"). Output tokens are fixpoints of the whole function, so
+    normalizing an already normalized list is the identity.
     """
     out = []
     for token in tokens:
         token = token.lower()
         if not _keep(token, stopwords):
             continue
-        token = _stem_fixpoint(token)
-        if _keep(token, stopwords):
-            out.append(token)
+        stem = _stem_fixpoint(token)
+        if stem == token or _keep(stem, stopwords):
+            out.append(stem)
     return tuple(out)
 
 

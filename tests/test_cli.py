@@ -205,6 +205,28 @@ class TestRankCommand:
         assert rows[0]["module"] == "TestTHLog"
         assert rows[0]["score"] == 1.0
 
+    def test_external_single_bug_knows_every_report(self, tmp_path, caplog):
+        # --bug ranks one report; the dump's other reports are still known,
+        # and only a bug missing from --bugs warns.
+        bugs = tmp_path / "bugs.json"
+        bugs.write_text(json.dumps(
+            [{"id": f"B-{i}", "gold": ["a"]} for i in (1, 2, 3)]
+        ), encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({"bug": bug, "module": module, "score": 0.5}) + "\n"
+            for bug in ("B-1", "B-2", "ghost", "B-3") for module in ("a", "b")
+        ), encoding="utf-8")
+        out = tmp_path / "ext.jsonl"
+        with caplog.at_level(logging.WARNING, logger="smelloc.dataio"):
+            rc = main(["rank", "--technique", "external:x", "--bugs", str(bugs),
+                       "--scores", str(scores), "--bug", "B-2", "--out", str(out)])
+        assert rc == 0
+        assert {r["bug"] for r in _read_jsonl(out)} == {"B-2"}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{scores}:5: score for unknown bug id 'ghost'"
+        ]
+
     def test_external_needs_scores_flag(self, hbase_fixture, tmp_path, capsys):
         rc = main(
             [
@@ -391,6 +413,34 @@ class TestCombineCommand:
         assert payload["best_alpha"] == min(payload["best_alphas"])
         assert payload["manifest"]["tool"] == "smelloc"
         assert not (tmp_path / "sweep.json.manifest.json").exists()
+
+    def test_sweep_warns_about_reports_without_scores(self, hbase_fixture, tmp_path, caplog):
+        # The dump scores only the HBase report; six more reports in --bugs
+        # are left out of the sweep, which warns and sweeps as without them.
+        def sweep(bugs, out):
+            argv = ["combine", "--scores", str(hbase_fixture["scores"]),
+                    "--smells", str(hbase_fixture["smells"]), "--bugs", str(bugs),
+                    "--sweep", "--format", "json", "--out", str(out)]
+            assert main(argv) == 0
+            payload = _read_json(out)
+            payload.pop("manifest")
+            return payload
+
+        records = _read_json(hbase_fixture["bugs"])
+        extra = [{"id": f"X-{i}", "gold": ["Store"]} for i in range(6)]
+        more = tmp_path / "more-bugs.json"
+        more.write_text(json.dumps(extra[:3] + records + extra[3:]), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="smelloc.cli"):
+            wide = sweep(more, tmp_path / "wide.json")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{hbase_fixture['scores']}: 6 bug reports in --bugs have no scores "
+            "and are left out of the sweep (e.g. X-0, X-1, X-2, X-3, X-4)"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="smelloc.cli"):
+            narrow = sweep(hbase_fixture["bugs"], tmp_path / "narrow.json")
+        assert caplog.records == []
+        assert wide == narrow
 
     def test_sweep_needs_bugs(self, hbase_fixture, tmp_path, capsys):
         rc = main(

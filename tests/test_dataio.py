@@ -1,5 +1,6 @@
 """Tests for dataset loading, validation, and the selection protocol."""
 
+import itertools
 import json
 import logging
 
@@ -504,6 +505,180 @@ class TestScoreDumpsAgainstOracles:
         assert capsys.readouterr().err == (
             f"error: {scores}:{lineno}: bad score entry: {message}\n"
         )
+
+
+def _load_logged(load, path):
+    """A loader's outcome on a dump, with the warnings it logged."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    dataio_logger = logging.getLogger("smelloc.dataio")
+    dataio_logger.addHandler(handler)
+    try:
+        outcome = _outcome(load, path)
+    finally:
+        dataio_logger.removeHandler(handler)
+    return outcome, [r.getMessage() for r in records]
+
+
+def _count_decodes(mp):
+    """Record every line that reaches the per-line decoder."""
+    calls = []
+    decode = dataio._decode_line
+
+    def counted(line):
+        calls.append(line)
+        return decode(line)
+
+    mp.setattr(dataio, "_decode_line", counted)
+    return calls
+
+
+def _refuse_decodes(mp):
+    def refuse(line):
+        raise AssertionError(f"line reached the per-line decoder: {line!r}")
+
+    mp.setattr(dataio, "_decode_line", refuse)
+
+
+# Ids that json.dumps writes verbatim: printable ASCII without quote or
+# backslash.
+_PLAIN_IDS = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'),
+    min_size=1,
+    max_size=8,
+)
+_LINE_TEMPLATE = '{{"bug": "B-1", "module": "{}", "score": {}}}'
+
+
+class TestBulkScoreReader:
+    """The block-at-a-time reader of writer-shaped dumps against the
+    json.loads reference, and the lines it leaves to the per-line decoder."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.one_of(_PLAIN_IDS, _IDS), min_size=1, max_size=3, unique=True),
+        st.one_of(_PLAIN_IDS, _IDS),
+        st.lists(_SCORES, min_size=1, max_size=8),
+        st.integers(1200, 2500),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_dumps_across_blocks_match_oracle(
+        self, tmp_path_factory, bugs, prefix, scores, count, newline, final_newline
+    ):
+        # At least 1,200 lines of 58 characters or more: every dump spans
+        # blocks, so lines straddle their boundaries.
+        modules = [f"{prefix}/Module{i:05d}.java" for i in range(count)]
+        rankings = [
+            ScoredRanking(bug_id=bug, technique="t",
+                          entries=tuple(zip(modules, itertools.cycle(scores))))
+            for bug in bugs
+        ]
+        path = tmp_path_factory.mktemp("blocks") / "scores.jsonl"
+        write_score_lines(path, rankings)
+        data = path.read_bytes()
+        assert len(data.decode("utf-8")) > dataio._BLOCK_CHARS
+        if not final_newline:
+            data = data[:-1]
+        path.write_bytes(data.replace(b"\n", newline.encode()))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_decodes(mp)
+            got = _load_logged(load_external_scores, path)
+        assert got == _load_logged(load_external_scores_by_json_loads, path)
+        # Only an id that json.dumps escapes sends the dump to the decoder.
+        plain = all(json.dumps(i) == f'"{i}"' for i in [*bugs, prefix])
+        assert bool(calls) != plain
+
+    def test_writer_dump_never_reaches_the_line_decoder(self, tmp_path, monkeypatch, caplog):
+        modules = [f"org/app/m{i}/Module{i}.java" for i in range(1500)]
+        rankings = [
+            ScoredRanking(bug_id=bug, technique="t",
+                          entries=tuple((m, 1 / (i + 1)) for i, m in enumerate(modules)))
+            for bug in ("B-1", "ghost", "B-2")
+        ]
+        path = tmp_path / "scores.jsonl"
+        write_score_lines(path, rankings)
+        _refuse_decodes(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="smelloc.dataio"):
+            scores = load_external_scores(path, "t", known_bugs=["B-1", "B-2"])
+        assert list(scores.by_bug) == ["B-1", "ghost", "B-2"]
+        assert list(scores.by_bug["B-2"].items()) == list(rankings[2].entries)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:1501: score for unknown bug id 'ghost'"
+        ]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            _LINE_TEMPLATE.format("b", "5"),
+            _LINE_TEMPLATE.format("b", "-0"),
+            _LINE_TEMPLATE.format("b", "123456789012345678901234567890"),
+            _LINE_TEMPLATE.format("b", "1."),
+            _LINE_TEMPLATE.format("b", "01.5"),
+            _LINE_TEMPLATE.format("b", "NaN"),
+            _LINE_TEMPLATE.format("b", "-Infinity"),
+            _LINE_TEMPLATE.format('b\\"q', "0.5"),
+            _LINE_TEMPLATE.format("b\\\\q", "0.5"),
+            _LINE_TEMPLATE.format("caf\\u00e9", "0.5"),
+            # The escaped quote hides the rest of the line from JSON.
+            _LINE_TEMPLATE.format("b\\", "0.5"),
+            _LINE_TEMPLATE.format("b\tq", "0.5"),
+            _LINE_TEMPLATE.format("b\x01q", "0.5"),
+            '{"bug":  "B-1", "module": "b", "score": 0.5}',
+            '{"bug": "B-1", "module": "b", "score": 0.5 }',
+            ' {"bug": "B-1", "module": "b", "score": 0.5}',
+            '{"module": "b", "bug": "B-1", "score": 0.5}',
+            "",
+        ],
+        ids=["int", "minus-zero", "big-int", "trailing-dot", "leading-zero", "nan",
+             "minus-infinity", "escaped-quote", "escaped-backslash", "escaped-e-acute",
+             "backslash-before-quote", "raw-tab", "raw-u0001", "double-space",
+             "space-before-brace", "leading-space", "reordered-keys", "blank-line"],
+    )
+    def test_near_misses_go_to_the_line_decoder(self, tmp_path, monkeypatch, line):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            _LINE_TEMPLATE.format("a", "1.0") + "\n" + line + "\n"
+            + _LINE_TEMPLATE.format("c", "0.25") + "\n",
+            encoding="utf-8",
+        )
+        calls = _count_decodes(monkeypatch)
+        got = _load_logged(load_external_scores, path)
+        assert calls
+        assert got == _load_logged(load_external_scores_by_json_loads, path)
+
+    @pytest.mark.parametrize(
+        "module, score",
+        [("b", "1e400"), ("b", "-1E-400"), ("b", "2.5e+3"), ("b\u2028q", "0.5"),
+         ("b\x85q", "0.5"), ("b\x7fq", "0.5")],
+        ids=["overflow", "underflow", "exponent", "u2028", "u0085", "u007f"],
+    )
+    def test_bulk_reader_takes_what_json_takes(self, tmp_path, monkeypatch, module, score):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            _LINE_TEMPLATE.format("a", "1.0") + "\n" + _LINE_TEMPLATE.format(module, score),
+            encoding="utf-8",
+        )
+        want = _load_logged(load_external_scores_by_json_loads, path)
+        _refuse_decodes(monkeypatch)
+        assert _load_logged(load_external_scores, path) == want
+
+    def test_unknown_bug_warns_once_before_a_duplicate(self, tmp_path, caplog):
+        # The bulk reader gives up at the duplicate without logging; the
+        # line decoder then warns once and names the duplicate.
+        rows = [("ghost", "a"), ("B-1", "a"), ("B-1", "b"), ("ghost", "b"), ("B-1", "a")]
+        path = tmp_path / "scores.jsonl"
+        path.write_text("".join(
+            json.dumps({"bug": b, "module": m, "score": 0.5}) + "\n" for b, m in rows
+        ), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="smelloc.dataio"):
+            with pytest.raises(ValueError) as info:
+                load_external_scores(path, "t", known_bugs=["B-1"])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:1: score for unknown bug id 'ghost'"
+        ]
+        assert str(info.value) == f"{path}:5: duplicate score for bug 'B-1', module 'a'"
 
 
 class TestDescriptorAndSystem:
