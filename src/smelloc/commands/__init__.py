@@ -1,0 +1,85 @@
+"""The bodies of the CLI's commands, one module each, and their helpers.
+
+``cli.main`` parses the command line and imports only the module of the
+command it runs, whose ``run(args)`` returns the exit code. A command
+module never imports ``smelloc.cli``: run as ``python -m smelloc.cli``,
+that module is ``__main__``, and importing it by name would compile it a
+second time. Functions that a tracer may wrap (layer boundaries such as
+``index.load_index``) are called through their module at call time, never
+through a name bound when the command module was imported.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from ..log import get_logger
+from ..stopwords import DEFAULT_STOPWORDS, load_stopwords, read_json
+
+# Commands log under the CLI's name, however the CLI was started.
+logger = get_logger("smelloc.cli")
+
+# metrics.METRIC_NAMES, copied so that commands that only parse flags load
+# no metrics code; a test keeps the two equal.
+STAT_METRICS = ("top1", "top5", "top10", "mrr", "map")
+
+
+class UsageError(ValueError):
+    """Bad flags or bad input data; mapped to exit code 2."""
+
+
+def fmt(value: float) -> str:
+    return f"{value:.4f}"
+
+
+def stopword_set(args) -> frozenset[str]:
+    if getattr(args, "stopwords", None):
+        return load_stopwords(args.stopwords)
+    return DEFAULT_STOPWORDS
+
+
+def require_dir(path: str, what: str) -> Path:
+    p = Path(path)
+    if not p.is_dir():
+        raise UsageError(f"{what} directory not found: {path}")
+    return p
+
+
+def require_file(path: str, what: str) -> Path:
+    p = Path(path)
+    if not p.is_file():
+        raise UsageError(f"{what} file not found: {path}")
+    return p
+
+
+def load_selectors(path: str | None) -> dict[str, frozenset[str]]:
+    """Read a JSON object mapping selector names to arrays of smell types.
+
+    Without a file, s1 (every smell type) is the only selector.
+    """
+    from ..smells import ALL_TYPE_NAMES
+
+    if not path:
+        return {"s1": ALL_TYPE_NAMES}
+    raw = read_json(require_file(path, "selectors"))
+    if not isinstance(raw, dict):
+        raise UsageError(f"{path}: selectors must be a JSON object")
+    # Files written by the risk command carry a manifest block alongside
+    # the selector sets; it is metadata, not a selector.
+    raw.pop("manifest", None)
+    selectors = {}
+    for name, types in raw.items():
+        # A bare string would otherwise be read as a set of characters.
+        if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+            raise UsageError(
+                f"{path}: selector {name!r} must be a JSON array of smell type "
+                f"names, got {types!r}"
+            )
+        unknown = set(types) - ALL_TYPE_NAMES
+        if unknown:
+            raise UsageError(
+                f"{path}: selector {name!r} names unknown smell types: {sorted(unknown)}"
+            )
+        selectors[name] = frozenset(types)
+    selectors.setdefault("s1", ALL_TYPE_NAMES)
+    return selectors

@@ -1,0 +1,130 @@
+"""``smelloc combine``: blend a score dump with smell values, at one alpha or
+over the whole alpha grid."""
+
+from __future__ import annotations
+
+import sys
+
+from .. import combine, dataio, index, manifest, smells
+from . import UsageError, fmt, load_selectors, logger, require_file
+
+
+def _inputs(args):
+    """Shared loading for the blend command: scores, smells, optional gold."""
+    scores_path = require_file(args.scores, "scores")
+    smells_path = require_file(args.smells, "smell report")
+    known = None
+    reports = ()
+    if args.bugs:
+        reports = dataio.load_bug_reports(require_file(args.bugs, "bug reports"))
+        known = [r.id for r in reports]
+    scores = dataio.load_external_scores(scores_path, "input", known_bugs=known)
+    instances = dataio.load_smell_report(smells_path)
+    universe = tuple(sorted({m for per_bug in scores.by_bug.values() for m in per_bug}))
+    if not universe:
+        raise UsageError(f"no scores in {scores_path}")
+    selectors = load_selectors(args.selectors)
+    try:
+        g_label, aggregator, s_label = combine.parse_config_label(args.config)
+        if s_label not in selectors and s_label not in smells.ALL_TYPE_NAMES:
+            raise UsageError(
+                f"selector {s_label!r} is not derived (pass --selectors) "
+                "and is not a smell type"
+            )
+        config = combine.make_config(g_label, aggregator, s_label, selectors)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    notes = []
+    overall_min = min(
+        (v for per_bug in scores.by_bug.values() for v in per_bug.values()),
+        default=0.0,
+    )
+    if overall_min < 0:
+        notes.append("negative raw scores min-shifted before normalization")
+    return scores, instances, universe, config, reports, notes
+
+
+def run(args) -> int:
+    scores, instances, universe, config, reports, notes = _inputs(args)
+    inputs = {"scores": args.scores, "smells": args.smells}
+    if args.bugs:
+        inputs["bugs"] = args.bugs
+    run_manifest = manifest.build_manifest(
+        sys.argv[1:], inputs, config_path=args.run_config, notes=notes
+    )
+
+    if args.sweep:
+        if not args.bugs:
+            raise UsageError("--sweep needs --bugs for the gold sets")
+        metric = args.metric or "map"
+        bug_ids = tuple(r.id for r in reports if r.id in scores.by_bug)
+        if not bug_ids:
+            raise UsageError("no bug report in --bugs has scores")
+        unscored = [r.id for r in reports if r.id not in scores.by_bug]
+        if unscored:
+            logger.warning(
+                "%s: %d bug reports in --bugs have no scores and are left out "
+                "of the sweep (e.g. %s)",
+                args.scores,
+                len(unscored),
+                ", ".join(unscored[:5]),
+            )
+        system = combine.System(
+            name="input",
+            modules=universe,
+            bug_ids=bug_ids,
+            gold={r.id: r.gold for r in reports},
+            smells=instances,
+        )
+        try:
+            result = combine.sweep_alpha(system, scores, config, metric)
+        except ValueError as exc:
+            # Every other input was checked as it was read; a score can
+            # still be NaN or infinite, and the sweep names its bug.
+            raise UsageError(f"{args.scores}: {exc}") from exc
+        shape = combine.curve_shape(result)
+        if args.format == "json":
+            payload = {
+                "config": config.label(),
+                "metric": metric,
+                "alphas": [round(a, 2) for a in combine.ALPHA_GRID],
+                "values": list(result.values),
+                "best_alphas": list(result.best_alphas),
+                "best_alpha": combine.optimize_alpha(result),
+                "best_value": result.best_value,
+                "shape": shape,
+            }
+            manifest.write_json_report(payload, args.out, run_manifest)
+        else:
+            import csv
+
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["alpha", metric])
+                for alpha, value in zip(combine.ALPHA_GRID, result.values):
+                    writer.writerow([fmt(alpha), fmt(value)])
+            manifest.write_sidecar_manifest(args.out, run_manifest)
+        print(
+            f"swept {config.label()} on {metric}: best {fmt(result.best_value)} "
+            f"at alpha {fmt(combine.optimize_alpha(result))} ({shape})"
+        )
+        return 0
+
+    alpha = args.alpha
+    if alpha is None:
+        raise UsageError("pass --alpha for a single blend or --sweep for the grid")
+    if not 0.0 <= alpha <= 1.0:
+        raise UsageError(f"--alpha {alpha} outside [0, 1]")
+    norm_smell = combine.normalize(smells.smell_values(universe, instances, config))
+    rankings = []
+    for bug_id, per_bug in scores.by_bug.items():
+        try:
+            norm_score = combine.normalize({m: per_bug.get(m, 0.0) for m in universe})
+        except ValueError as exc:
+            raise UsageError(f"{args.scores}: bug {bug_id!r}: {exc}") from exc
+        blended = combine.blend(norm_score, norm_smell, alpha)
+        rankings.append(index.rank(blended, bug_id, f"blend:{config.label()}"))
+    dataio.write_score_lines(args.out, rankings)
+    manifest.write_sidecar_manifest(args.out, run_manifest)
+    print(f"blended {len(rankings)} rankings at alpha {alpha:g} -> {args.out}")
+    return 0

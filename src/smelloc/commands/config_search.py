@@ -1,0 +1,113 @@
+"""``smelloc config-search``: evaluate every smell configuration over a set
+of systems."""
+
+from __future__ import annotations
+
+import sys
+
+from .. import combine, dataio, dataset, manifest, risk
+from ..smells import SELECTOR_NAMES
+from . import STAT_METRICS, UsageError, fmt, load_selectors, logger, require_file
+
+
+def run(args) -> int:
+    pairs = []
+    for desc_path in args.systems:
+        descriptor = dataset.load_descriptor(require_file(desc_path, "descriptor"))
+        snapshot = dataio.load_system(descriptor)
+        pairs.append(dataio.prepare_system(snapshot, args.technique))
+    kept, validation = dataio.filter_dataset(pairs)
+    for line in validation.to_text().splitlines():
+        logger.info("%s", line)
+
+    selectors = (
+        load_selectors(args.selectors)
+        if args.selectors
+        else risk.pooled_selectors(system for system, _ in kept)
+    )
+    missing = [s for s in SELECTOR_NAMES if s not in selectors]
+    if missing:
+        raise UsageError(f"selector sets missing: {missing}")
+    empty = [s for s in SELECTOR_NAMES[1:] if not selectors[s]]
+    if empty:
+        raise UsageError(
+            f"derived selector sets are empty: {empty}; "
+            "the dataset has no smell type with elevated risk"
+        )
+    configs = combine.enumerate_configs(
+        selectors, include_single_type=args.include_single_type
+    )
+    report = combine.config_search(kept, configs, jobs=args.jobs or 1)
+
+    inputs = {
+        f"descriptor{i}": path for i, path in enumerate(args.systems)
+    }
+    run_manifest = manifest.build_manifest(
+        sys.argv[1:], inputs, config_path=args.run_config
+    )
+    if args.format == "json":
+        payload = {
+            "technique": report.technique,
+            "systems": list(report.systems),
+            "selectors": {name: sorted(types) for name, types in selectors.items()},
+            "rows": [
+                {
+                    "config": row.config.label(),
+                    "original_index": row.original_index,
+                    "systems_improved": row.systems_improved,
+                    "metrics": {
+                        metric: {
+                            "value": value,
+                            "chosen_alpha": {
+                                name: combine.optimize_alpha(sweeps[metric])
+                                for name, sweeps in row.sweeps.items()
+                            },
+                            "maximizers": {
+                                name: list(sweeps[metric].best_alphas)
+                                for name, sweeps in row.sweeps.items()
+                            },
+                        }
+                        for metric, value in row.values.items()
+                    },
+                    "curves": {
+                        name: {m: list(c) for m, c in per_metric.items()}
+                        for name, per_metric in row.curves.items()
+                    },
+                }
+                for row in report.rows
+            ],
+            "ideal": report.ideal,
+            "ideal_choice": {
+                metric: {name: list(pick) for name, pick in choice.items()}
+                for metric, choice in report.ideal_choice.items()
+            },
+            "validation": validation.to_json_dict(),
+        }
+        manifest.write_json_report(payload, args.out, run_manifest)
+    else:
+        import csv
+
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["config", "top1", "top5", "top10", "mrr", "map", "#systems", "original"]
+            )
+            for row in report.rows:
+                writer.writerow(
+                    [row.config.label()]
+                    + [fmt(row.values[m]) for m in STAT_METRICS]
+                    + [row.systems_improved, "yes" if row.original_index else ""]
+                )
+            writer.writerow(
+                ["(ideal)"]
+                + [fmt(report.ideal[m]) for m in STAT_METRICS]
+                + [report.ideal_systems_improved, ""]
+            )
+        manifest.write_sidecar_manifest(args.out, run_manifest)
+    best = report.rows[0]
+    print(
+        f"searched {len(configs)} configurations over {len(kept)} systems: "
+        f"best map {fmt(best.values['map'])} ({best.config.label()}), "
+        f"ideal map {fmt(report.ideal['map'])} -> {args.out}"
+    )
+    return 0

@@ -1,0 +1,99 @@
+"""``smelloc evaluate``: score a ranking dump against the gold sets, and
+optionally compare it with a baseline dump."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from .. import dataio, index, manifest, metrics
+from . import STAT_METRICS, UsageError, fmt, require_file
+
+
+def _outcomes_from_dump(path: Path, reports) -> list:
+    scores = dataio.load_external_scores(path, "eval", known_bugs=[r.id for r in reports])
+    missing = [r.id for r in reports if r.id not in scores.by_bug]
+    if missing:
+        raise UsageError(f"{path}: no scores for bug reports {missing[:5]}")
+    outcomes = []
+    for report in reports:
+        try:
+            ranking = index.rank(scores.by_bug[report.id], report.id)
+        except ValueError as exc:
+            raise UsageError(f"{path}: bug {report.id!r}: {exc}") from exc
+        outcomes.append(
+            metrics.evaluate_ranking(ranking.modules(), report.gold, report.id)
+        )
+    return outcomes
+
+
+def run(args) -> int:
+    reports = dataio.load_bug_reports(require_file(args.bugs, "bug reports"))
+    if not reports:
+        raise UsageError(f"no bug reports in {args.bugs}")
+    outcomes = _outcomes_from_dump(require_file(args.rankings, "rankings"), reports)
+    report = metrics.metric_report(outcomes)
+    inputs = {"rankings": args.rankings, "bugs": args.bugs}
+    comparison = None
+    if args.compare:
+        baseline = _outcomes_from_dump(require_file(args.compare, "baseline"), reports)
+        inputs["baseline"] = args.compare
+        comparison = {
+            metric: metrics.comparison_stats(
+                metrics.per_report_values(outcomes, metric),
+                metrics.per_report_values(baseline, metric),
+            )
+            for metric in STAT_METRICS
+        }
+    run_manifest = manifest.build_manifest(
+        sys.argv[1:], inputs, config_path=args.run_config
+    )
+    if args.format in (None, "json"):
+        payload = {
+            "reports": len(outcomes),
+            "top": {str(n): report.top[n] for n in sorted(report.top)},
+            "counts": {str(n): report.counts[n] for n in sorted(report.counts)},
+            "mrr": report.mrr,
+            "map": report.mean_ap,
+            "per_report": [
+                {
+                    "bug": o.bug_id,
+                    "rank_of_first_gold": o.rank_of_first_gold,
+                    "reciprocal_rank": metrics.reciprocal_rank(o),
+                    "average_precision": o.average_precision,
+                }
+                for o in outcomes
+            ],
+        }
+        if comparison is not None:
+            payload["comparison"] = comparison
+        manifest.write_json_report(payload, args.out, run_manifest)
+    else:
+        import csv
+
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["metric", "value", "count"])
+            for n in sorted(report.top):
+                writer.writerow([f"top{n}", fmt(report.top[n]), report.counts[n]])
+            writer.writerow(["mrr", fmt(report.mrr), ""])
+            writer.writerow(["map", fmt(report.mean_ap), ""])
+            if comparison is not None:
+                writer.writerow([])
+                writer.writerow(["metric", "p_value", "cliffs_delta", "label", "note"])
+                for metric, block in comparison.items():
+                    writer.writerow(
+                        [
+                            metric,
+                            fmt(block["p_value"]) if block["p_value"] is not None else "",
+                            fmt(block["cliffs_delta"]),
+                            block["label"],
+                            block.get("note", ""),
+                        ]
+                    )
+        manifest.write_sidecar_manifest(args.out, run_manifest)
+    print(
+        f"evaluated {len(outcomes)} reports: map {fmt(report.mean_ap)}, "
+        f"mrr {fmt(report.mrr)} -> {args.out}"
+    )
+    return 0

@@ -1,0 +1,31 @@
+"""``smelloc index``: tokenize a snapshot and write its TF-IDF index cache."""
+
+from __future__ import annotations
+
+import sys
+
+from .. import corpus, index, manifest
+from . import UsageError, require_dir, stopword_set
+
+
+def run(args) -> int:
+    snapshot = require_dir(args.snapshot, "snapshot")
+    documents = corpus.build_corpus(
+        snapshot, extensions=tuple(args.extensions), stopwords=stopword_set(args)
+    )
+    if not documents:
+        raise UsageError(f"no source files under {snapshot}")
+    term_index = index.build_index(documents)
+    digest = index.corpus_hash(documents)
+    index.save_index(term_index, args.out, digest)
+    manifest.write_sidecar_manifest(
+        args.out,
+        manifest.build_manifest(
+            sys.argv[1:], {}, notes=(f"corpus sha256 {digest}",)
+        ),
+    )
+    print(
+        f"indexed {term_index.size} documents, "
+        f"{len(term_index.vocabulary)} terms -> {args.out}"
+    )
+    return 0

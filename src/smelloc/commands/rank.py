@@ -1,0 +1,78 @@
+"""``smelloc rank``: rank modules per bug report, natively or from a dump."""
+
+from __future__ import annotations
+
+import sys
+
+from .. import dataio, index, manifest
+from . import UsageError, require_dir, require_file, stopword_set
+
+
+def _term_index(args, stopwords: frozenset[str]) -> index.TermIndex:
+    """The index of ``--snapshot``, or the ``--index`` cache checked against it."""
+    from .. import corpus
+
+    if not (args.index or args.snapshot):
+        raise UsageError("native techniques need --snapshot or --index")
+    documents = None
+    if args.snapshot:
+        documents = corpus.build_corpus(
+            require_dir(args.snapshot, "snapshot"), stopwords=stopwords
+        )
+        if not documents:
+            raise UsageError(f"no source files under {args.snapshot}")
+    if args.index:
+        # With a snapshot too, the cache must match its tokens under the
+        # current stopwords; without one there is nothing to check against.
+        return index.load_index(
+            require_file(args.index, "index cache"),
+            index.corpus_hash(documents) if documents else None,
+        )
+    return index.build_index(documents)
+
+
+def run(args) -> int:
+    technique = args.technique
+    reports = dataio.load_bug_reports(require_file(args.bugs, "bug reports"))
+    # A dump's other bugs are known even when --bug ranks only one of them.
+    known = [r.id for r in reports]
+    if args.bug is not None:
+        reports = tuple(r for r in reports if r.id == args.bug)
+        if not reports:
+            raise UsageError(f"bug id {args.bug!r} not found in {args.bugs}")
+    if technique in dataio.NATIVE_TECHNIQUES:
+        stopwords = stopword_set(args)
+        rankings = [
+            index.rank(scores, bug_id, technique)
+            for bug_id, scores in dataio.native_scores(
+                _term_index(args, stopwords), reports, technique, stopwords
+            )
+        ]
+        inputs = {"bugs": args.bugs}
+    elif technique.startswith("external:"):
+        name = technique.split(":", 1)[1]
+        if not args.scores:
+            raise UsageError("external techniques need --scores")
+        scores = dataio.load_external_scores(
+            require_file(args.scores, "scores"), name, known_bugs=known
+        )
+        rankings = []
+        for report in reports:
+            per_bug = scores.by_bug.get(report.id)
+            if per_bug is None:
+                raise UsageError(f"no scores for bug {report.id!r} in {args.scores}")
+            try:
+                rankings.append(index.rank(per_bug, report.id, name))
+            except ValueError as exc:
+                raise UsageError(f"{args.scores}: bug {report.id!r}: {exc}") from exc
+        inputs = {"bugs": args.bugs, "scores": args.scores}
+    else:
+        raise UsageError(
+            f"unknown technique {technique!r} (use vsm, rvsm, or external:<name>)"
+        )
+    dataio.write_score_lines(args.out, rankings)
+    manifest.write_sidecar_manifest(
+        args.out, manifest.build_manifest(sys.argv[1:], inputs)
+    )
+    print(f"wrote {len(rankings)} rankings -> {args.out}")
+    return 0

@@ -12,7 +12,6 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .stemming import stem
 from .stopwords import DEFAULT_STOPWORDS
 
 DEFAULT_EXTENSIONS = (".java",)
@@ -43,6 +42,9 @@ def split_identifiers(text: str) -> list[str]:
 # Token -> its stem fixpoint, for every token stemmed so far, including the
 # intermediate stems on the way to a fixpoint.
 _FIXPOINTS: dict[str, str] = {}
+# stemming.stem, imported on the first memo miss, so that listing source
+# files loads no stemmer.
+_stem = None
 
 
 def _stem_fixpoint(token: str) -> str:
@@ -53,13 +55,16 @@ def _stem_fixpoint(token: str) -> str:
     # stem is memoized too: connected, connection and connecting all pass
     # through "connect", whose confirming pass then runs once. A loop, not
     # recursion, as a long token can take hundreds of passes.
+    global _stem
     fixpoint = _FIXPOINTS.get(token)
     if fixpoint is not None:
         return fixpoint
+    if _stem is None:
+        from .stemming import stem as _stem
     chain = []
     while True:
         chain.append(token)
-        stemmed = stem(token)
+        stemmed = _stem(token)
         if stemmed == token:
             fixpoint = token
             break

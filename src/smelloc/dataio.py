@@ -3,29 +3,33 @@
 A system is one project version: a source snapshot, its bug reports with
 gold sets, a smell report, and optional external technique scores; its
 modules are the snapshot's corpus.source_files. Loaded, it is a
-SystemSnapshot; scored by one technique, it is the pair (combine.System,
-TechniqueScores) that filtering and the configuration search take.
-Filtering applies the selection protocol in a fixed order: first bug
-reports whose ranking is unusable under the technique, then systems without
-any smell instance, then systems left with fewer than five reports. Every
-exclusion is recorded with exactly one reason.
+dataset.SystemSnapshot; scored by one technique, it is the pair
+(combine.System, TechniqueScores) that filtering and the configuration
+search take. Filtering applies the selection protocol in a fixed order:
+first bug reports whose ranking is unusable under the technique, then
+systems without any smell instance, then systems left with fewer than five
+reports. Every exclusion is recorded with exactly one reason.
+
+Each command runs in its own process and loads only what it calls: the
+tokenizer, the index, the score-dump readers (scoredump) and the system
+records (dataset) are imported inside the functions that use them, and
+those functions are called through their modules, where a tracer can wrap
+them.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import build_corpus, build_query, source_files
-from .index import ScoredRanking, TermIndex, build_index, cosine_score, rvsm_score
 from .log import get_logger
 from .stopwords import DEFAULT_STOPWORDS, read_json, read_utf8, utf8_error
 
 if TYPE_CHECKING:
     from . import combine
+    from .dataset import SystemDescriptor, SystemSnapshot, ValidationReport
+    from .index import ScoredRanking, TermIndex
     from .smells import SmellInstance
 
     # One system scored by one technique: what filtering and the search take.
@@ -34,14 +38,6 @@ if TYPE_CHECKING:
 logger = get_logger(__name__)
 
 NATIVE_TECHNIQUES = ("vsm", "rvsm")
-
-REASON_NAN = "nan-score"
-REASON_NO_GOLD = "no-gold-in-ranking"
-REASON_MISSING = "missing-technique"
-REASON_NO_SMELLS = "no-smells"
-REASON_TOO_FEW = "fewer-than-5-reports"
-
-MIN_REPORTS = 5
 
 
 class _BugReportFields(NamedTuple):
@@ -62,77 +58,11 @@ class BugReport(_BugReportFields):
         return super().__new__(cls, id, summary, description, gold)
 
 
-class SystemDescriptor(NamedTuple):
-    """Where one system's inputs live on disk, as the descriptor file at
-    path names them."""
-
-    path: Path
-    project: str
-    version: str
-    snapshot_path: Path
-    bug_reports_path: Path
-    smell_report_path: Path
-    external_score_paths: dict[str, Path]
-
-    @property
-    def name(self) -> str:
-        return f"{self.project}-{self.version}"
-
-
-class SystemSnapshot(NamedTuple):
-    """One system's reports and smells over its modules; the source text and
-    score dumps stay at the descriptor's paths until prepare_system."""
-
-    descriptor: SystemDescriptor
-    name: str
-    modules: tuple[str, ...]
-    reports: tuple[BugReport, ...]
-    smells: tuple[SmellInstance, ...]
-
-
 class TechniqueScores(NamedTuple):
     """Raw per-bug score maps emitted by one localization technique."""
 
     technique: str
     by_bug: Mapping[str, Mapping[str, float]]
-
-
-class ExcludedReport(NamedTuple):
-    system: str
-    bug_id: str
-    reason: str
-
-
-class ExcludedSystem(NamedTuple):
-    system: str
-    reason: str
-
-
-class ValidationReport(NamedTuple):
-    excluded_reports: tuple[ExcludedReport, ...]
-    excluded_systems: tuple[ExcludedSystem, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "excluded_reports": [
-                {"system": e.system, "bug": e.bug_id, "reason": e.reason}
-                for e in self.excluded_reports
-            ],
-            "excluded_systems": [
-                {"system": e.system, "reason": e.reason}
-                for e in self.excluded_systems
-            ],
-        }
-
-    def to_text(self) -> str:
-        lines = []
-        for e in self.excluded_reports:
-            lines.append(f"excluded report {e.bug_id} of {e.system}: {e.reason}")
-        for e in self.excluded_systems:
-            lines.append(f"excluded system {e.system}: {e.reason}")
-        if not lines:
-            lines.append("nothing excluded")
-        return "\n".join(lines)
 
 
 def load_bug_reports(path: str | Path) -> tuple[BugReport, ...]:
@@ -210,24 +140,6 @@ def load_smell_report(path: str | Path) -> tuple[SmellInstance, ...]:
     return tuple(instances)
 
 
-# One decoder for every score line: raw_decode is json.loads without its
-# whitespace scans and wrapper calls, and it says where the value ends.
-_decode_line = json.JSONDecoder().raw_decode
-_BOM_ERROR = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-
-# A line as write_score_lines writes it: json.dumps's key order and
-# separators, and a score with a fraction or an exponent, which JSON reads as
-# float(text). An integer would be read as an int first, so it is left out.
-_WRITER_LINE = (
-    r'^\{"bug": "([^"]*)", "module": "([^"]*)", "score": '
-    r'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\}$'
-)
-# A JSON string holds these only as escapes, which the bulk reader leaves to
-# the decoder.
-_ESCAPED = r"[\\\x00-\x1f]"
-_BLOCK_CHARS = 64 * 1024
-
-
 def load_external_scores(
     path: str | Path,
     technique: str,
@@ -245,11 +157,13 @@ def load_external_scores(
     in bulk; any other dump goes through the line-by-line decoder, which
     names the line of any error.
     """
+    from . import scoredump
+
     known = set(known_bugs) if known_bugs is not None else None
     try:
-        by_bug = _read_writer_lines(path, known)
+        by_bug = scoredump.read_writer_lines(path, known)
         if by_bug is None:
-            by_bug = _decode_lines(path, known)
+            by_bug = scoredump.decode_lines(path, known)
     except UnicodeDecodeError:
         raise utf8_error(path) from None
     except ValueError:
@@ -258,103 +172,6 @@ def load_external_scores(
         read_utf8(path)
         raise
     return TechniqueScores(technique=technique, by_bug=by_bug)
-
-
-def _read_writer_lines(
-    path: str | Path, known: set[str] | None
-) -> dict[str, dict[str, float]] | None:
-    """The score maps of a dump written as write_score_lines writes it, or
-    None if any line has another shape, a (bug, module) pair repeats, or an
-    id needs an escape; then nothing is logged.
-
-    One pattern match per block of whole lines replaces a JSON decode per
-    line; every line must match, so matches and newlines are equal in count.
-    """
-    pattern = re.compile(_WRITER_LINE, re.M)
-    by_bug: dict[str, dict[str, float]] = {}
-    first_lines = []  # (line number, bug) where each bug first appears
-    lineno = 0
-    rest = ""
-    with open(path, encoding="utf-8") as fh:
-        while True:
-            block = fh.read(_BLOCK_CHARS)
-            if block:
-                block = rest + block
-                cut = block.rfind("\n") + 1
-                block, rest = block[:cut], block[cut:]
-            elif rest:
-                block, rest = rest + "\n", ""
-            else:
-                break
-            rows = pattern.findall(block)
-            if len(rows) != block.count("\n"):
-                return None
-            for lineno, (bug, module, score) in enumerate(rows, lineno + 1):
-                modules = by_bug.get(bug)
-                if modules is None:
-                    modules = by_bug[bug] = {}
-                    first_lines.append((lineno, bug))
-                modules[module] = float(score)
-    if sum(map(len, by_bug.values())) != lineno:
-        return None
-    if re.search(_ESCAPED, "".join(set(by_bug).union(*by_bug.values()))):
-        return None
-    if known is not None:
-        for first, bug in first_lines:
-            if bug not in known:
-                logger.warning("%s:%d: score for unknown bug id %r", path, first, bug)
-    return by_bug
-
-
-def _decode_lines(
-    path: str | Path, known: set[str] | None
-) -> dict[str, dict[str, float]]:
-    """The score maps of any dump, one JSON decode per line; the first bad
-    line raises ValueError naming its line number."""
-    by_bug: dict[str, dict[str, float]] = {}
-    # Streamed, not read whole: only an error makes the file be read again,
-    # to name a bad byte's line.
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec, end = _decode_line(line)
-                if end != len(line):
-                    # json.loads reports the extra data after any whitespace.
-                    extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
-                    raise json.JSONDecodeError("Extra data", line, extra)
-                bug = rec["bug"]
-                module = rec["module"]
-                score = rec["score"]
-                if type(bug) is not str:
-                    raise ValueError(f"bug must be a string, got {bug!r}")
-                if type(module) is not str:
-                    raise ValueError(f"module must be a string, got {module!r}")
-                if type(score) is not float:
-                    # A bool is an int to Python but no JSON number.
-                    if type(score) is not int:
-                        raise ValueError(f"score must be a number, got {score!r}")
-                    score = float(score)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                if line.startswith("\ufeff"):  # json.loads names the BOM
-                    exc = json.JSONDecodeError(_BOM_ERROR, line, 0)
-                raise ValueError(f"{path}:{lineno}: bad score entry: {exc}") from exc
-            modules = by_bug.get(bug)
-            if modules is None:
-                modules = by_bug[bug] = {}
-                if known is not None and bug not in known:
-                    logger.warning(
-                        "%s:%d: score for unknown bug id %r", path, lineno, bug
-                    )
-            if module in modules:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate score for bug {bug!r}, "
-                    f"module {module!r}"
-                )
-            modules[module] = score
-    return by_bug
 
 
 def write_score_lines(path: str | Path, rankings: Iterable[ScoredRanking]) -> None:
@@ -378,43 +195,6 @@ def write_score_lines(path: str | Path, rankings: Iterable[ScoredRanking]) -> No
             fh.write("".join(lines))
 
 
-_DESCRIPTOR_FIELDS = ("project", "version", "snapshot", "bugs", "smells")
-
-
-def load_descriptor(path: str | Path) -> SystemDescriptor:
-    """Read a system descriptor JSON file; relative paths resolve against it."""
-    path = Path(path)
-    rec = read_json(path)
-    if not isinstance(rec, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    try:
-        fields = {key: rec[key] for key in _DESCRIPTOR_FIELDS}
-    except KeyError as exc:
-        raise ValueError(f"{path}: descriptor missing key {exc}") from exc
-    # str() would turn null into "None"; Path() of a number would crash.
-    for key, value in fields.items():
-        if not isinstance(value, str):
-            raise ValueError(f"{path}: {key} must be a string, got {value!r}")
-    scores = rec.get("scores", {})
-    if not isinstance(scores, dict) or not all(isinstance(p, str) for p in scores.values()):
-        raise ValueError(f"{path}: scores must be an object of paths, got {scores!r}")
-    base = path.parent
-
-    def resolve(p: str) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    return SystemDescriptor(
-        path=path,
-        project=fields["project"],
-        version=fields["version"],
-        snapshot_path=resolve(fields["snapshot"]),
-        bug_reports_path=resolve(fields["bugs"]),
-        smell_report_path=resolve(fields["smells"]),
-        external_score_paths={name: resolve(p) for name, p in scores.items()},
-    )
-
-
 def load_system(descriptor: SystemDescriptor) -> SystemSnapshot:
     """Load and cross-check one system's bug reports and smell report.
 
@@ -424,12 +204,16 @@ def load_system(descriptor: SystemDescriptor) -> SystemSnapshot:
     risk analysis validates its own universe. A missing snapshot directory
     raises ValueError naming the descriptor, as it would list no modules.
     """
+    from . import corpus, dataset
+
     if not descriptor.snapshot_path.is_dir():
         raise ValueError(
             f"{descriptor.path}: snapshot directory not found: "
             f"{descriptor.snapshot_path}"
         )
-    modules = tuple(doc_id for doc_id, _ in source_files(descriptor.snapshot_path))
+    modules = tuple(
+        doc_id for doc_id, _ in corpus.source_files(descriptor.snapshot_path)
+    )
     module_set = set(modules)
     reports = load_bug_reports(descriptor.bug_reports_path)
     for report in reports:
@@ -451,7 +235,7 @@ def load_system(descriptor: SystemDescriptor) -> SystemSnapshot:
             len(stray_smelly),
             sorted(stray_smelly)[0],
         )
-    return SystemSnapshot(descriptor, descriptor.name, modules, reports, smells)
+    return dataset.SystemSnapshot(descriptor, descriptor.name, modules, reports, smells)
 
 
 def native_scores(
@@ -466,9 +250,11 @@ def native_scores(
     scales it by document length. Lazy, so a caller that ranks and drops
     each map holds one at a time.
     """
-    scorer = cosine_score if technique == "vsm" else rvsm_score
+    from . import corpus, index
+
+    scorer = index.cosine_score if technique == "vsm" else index.rvsm_score
     for report in reports:
-        yield report.id, scorer(build_query(report, stopwords), term_index)
+        yield report.id, scorer(corpus.build_query(report, stopwords), term_index)
 
 
 def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
@@ -480,13 +266,15 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
     stay in its universe, and universe modules it skips score 0 (they rank
     at the bottom).
     """
-    from . import combine
+    from . import combine, corpus, index
 
     descriptor = snapshot.descriptor
     if technique in NATIVE_TECHNIQUES:
         universe = snapshot.modules
-        corpus = build_corpus(descriptor.snapshot_path)
-        by_bug = dict(native_scores(build_index(corpus), snapshot.reports, technique))
+        documents = corpus.build_corpus(descriptor.snapshot_path)
+        by_bug = dict(
+            native_scores(index.build_index(documents), snapshot.reports, technique)
+        )
     elif technique in descriptor.external_score_paths:
         raw = load_external_scores(
             descriptor.external_score_paths[technique],
@@ -528,23 +316,6 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
     return system, TechniqueScores(technique=technique, by_bug=by_bug)
 
 
-def validate_ranking(
-    scores: Mapping[str, float] | None, gold: Iterable[str]
-) -> str | None:
-    """Classify one technique's score map for one bug report.
-
-    Returns None when usable, otherwise the exclusion reason: the technique
-    produced nothing, produced a non-finite score, or ranks no gold module.
-    """
-    if scores is None:
-        return REASON_MISSING
-    if any(not math.isfinite(v) for v in scores.values()):
-        return REASON_NAN
-    if not any(m in scores for m in gold):
-        return REASON_NO_GOLD
-    return None
-
-
 def filter_dataset(
     systems: Sequence[ScoredSystem],
 ) -> tuple[list[ScoredSystem], ValidationReport]:
@@ -558,6 +329,16 @@ def filter_dataset(
     # combine.System is a dataclass; the commands that never filter do not
     # load dataclasses.
     from dataclasses import replace
+
+    from .dataset import (
+        MIN_REPORTS,
+        REASON_NO_SMELLS,
+        REASON_TOO_FEW,
+        ExcludedReport,
+        ExcludedSystem,
+        ValidationReport,
+        validate_ranking,
+    )
 
     excluded_reports: list[ExcludedReport] = []
     excluded_systems: list[ExcludedSystem] = []

@@ -13,10 +13,12 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import TokenDocument
 from .stopwords import read_json
+
+if TYPE_CHECKING:
+    from .corpus import TokenDocument
 
 _CACHE_FORMAT = "smelloc-index"
 _CACHE_VERSION = 1
@@ -244,37 +246,47 @@ def corpus_hash(corpus: Iterable[TokenDocument]) -> str:
     return digest.hexdigest()
 
 
-def _doc_vectors(index: TermIndex) -> dict[str, dict[str, float]]:
-    """Each document's weights by term id string, in first-occurrence order.
+def _doc_vectors(index: TermIndex) -> Iterator[tuple[str, dict[str, float]]]:
+    """Each document's id and weights by term id string, in first-occurrence
+    order, one document at a time.
 
     Postings are in document order, so document i is the next unread entry
     of every term it has.
     """
     read = dict.fromkeys(index.postings, 0)
-    vectors = {}
     for doc_id, terms in zip(index.doc_ids, index.doc_terms):
         vec = {}
         for tid in terms:
             k = read[tid]
             read[tid] = k + 1
             vec[str(tid)] = index.weights[tid][k]
-        vectors[doc_id] = vec
-    return vectors
+        yield doc_id, vec
 
 
 def save_index(index: TermIndex, path: str | Path, corpus_digest: str) -> None:
-    """Write a single-file index cache keyed by the corpus content hash."""
-    payload = {
-        "format": _CACHE_FORMAT,
-        "version": _CACHE_VERSION,
-        "corpus_hash": corpus_digest,
-        "vocabulary": index.vocabulary,
-        "doc_freq": list(index.doc_freq),
-        "doc_vectors": _doc_vectors(index),
-        "doc_lengths": index.doc_lengths,
-    }
+    """Write a single-file index cache keyed by the corpus content hash.
+
+    The text is what json.dump of the payload writes, keys in this order.
+    Each part goes through json.dumps, which runs the C encoder where
+    json.dump runs the pure-Python one, and the document vectors go one at
+    a time, so the whole text is never held in memory.
+    """
+    head = json.dumps(
+        {
+            "format": _CACHE_FORMAT,
+            "version": _CACHE_VERSION,
+            "corpus_hash": corpus_digest,
+            "vocabulary": index.vocabulary,
+            "doc_freq": list(index.doc_freq),
+        }
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(head[:-1] + ', "doc_vectors": {')
+        sep = ""
+        for doc_id, vec in _doc_vectors(index):
+            fh.write(f"{sep}{json.dumps(doc_id)}: {json.dumps(vec)}")
+            sep = ", "
+        fh.write('}, "doc_lengths": ' + json.dumps(index.doc_lengths) + "}")
 
 
 def _ints(values: Iterable) -> bool:

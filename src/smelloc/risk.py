@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .log import get_logger
 from .smells import ALL_TYPE_NAMES, SELECTOR_NAMES, SmellInstance
@@ -31,8 +30,7 @@ logger = get_logger(__name__)
 TOTAL_ROW_NAME = "Total"
 
 
-@dataclass(frozen=True)
-class RiskRow:
+class RiskRow(NamedTuple):
     """Counts and ratios for one smell type (or the any-smell Total).
 
     risk is None when no module has the type; risk_complement is None when
@@ -49,8 +47,7 @@ class RiskRow:
     relative_risk: float | None
 
 
-@dataclass(frozen=True)
-class RiskTable:
+class RiskTable(NamedTuple):
     rows: dict[str, RiskRow]  # per smell type
     total: RiskRow  # any-smell pseudo-type
     module_total: int  # |M|, whole universe
@@ -194,7 +191,10 @@ def pooled_selectors(systems: Iterable[System]) -> dict[str, frozenset[str]]:
         universe |= {f"{system.name}::{m}" for m in modules}
         buggy |= {f"{system.name}::{m}" for m in gold}
         instances.extend(
-            replace(inst, module=f"{system.name}::{inst.module}")
+            SmellInstance(
+                inst.type, f"{system.name}::{inst.module}", inst.severity,
+                inst.method_signature,
+            )
             for inst in system.smells
         )
     return derive_selectors(relative_risk(universe, buggy, instances))

@@ -10,7 +10,6 @@ are files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 CLASS_GRANULARITY = "class"
@@ -25,10 +24,52 @@ AGGREGATORS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10")
 SELECTOR_NAMES = ("s1", "s2", "s3", "s4", "s5")
 
 
-@dataclass(frozen=True)
-class SmellType:
-    name: str
-    granularity: str  # "class" or "method"
+class _Record:
+    """An immutable record whose fields are its class's __slots__.
+
+    Records of one class are equal, and hash alike, when their _key() values
+    are; by default that is every field. Slot fields are read faster than a
+    named tuple's, and defining them loads no dataclasses.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    _key = _fields
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class SmellType(_Record):
+    __slots__ = ("name", "granularity")
+
+    def __init__(self, name: str, granularity: str):  # "class" or "method"
+        self._set(name, granularity)
 
 
 CLASS_SMELL_TYPES = (
@@ -58,49 +99,61 @@ SMELL_TYPE_BY_NAME = {t.name: t for t in SMELL_TYPES}
 ALL_TYPE_NAMES = frozenset(SMELL_TYPE_BY_NAME)
 
 
-@dataclass(frozen=True)
-class SmellInstance:
+class SmellInstance(_Record):
     """One detected smell occurrence."""
 
-    type: SmellType
-    module: str
-    severity: int
-    method_signature: str | None = None
+    __slots__ = ("type", "module", "severity", "method_signature")
 
-    def __post_init__(self):
-        if not self.module:
+    def __init__(
+        self,
+        type: SmellType,
+        module: str,
+        severity: int,
+        method_signature: str | None = None,
+    ):
+        if not module:
             raise ValueError("smell instance needs a nonempty module")
-        if not 1 <= self.severity <= 10:
-            raise ValueError(f"severity {self.severity} outside 1..10")
-        if self.type.granularity == METHOD_GRANULARITY and not self.method_signature:
+        if not 1 <= severity <= 10:
+            raise ValueError(f"severity {severity} outside 1..10")
+        if type.granularity == METHOD_GRANULARITY and not method_signature:
             raise ValueError(
-                f"method-level smell {self.type.name!r} needs a method signature"
+                f"method-level smell {type.name!r} needs a method signature"
             )
-        if self.type.granularity == CLASS_GRANULARITY and self.method_signature:
+        if type.granularity == CLASS_GRANULARITY and method_signature:
             raise ValueError(
-                f"class-level smell {self.type.name!r} cannot carry a method signature"
+                f"class-level smell {type.name!r} cannot carry a method signature"
             )
+        self._set(type, module, severity, method_signature)
 
 
-@dataclass(frozen=True)
-class SmellConfiguration:
-    """Granularity + aggregator + smell-type selector."""
+class SmellConfiguration(_Record):
+    """Granularity + aggregator + smell-type selector.
 
-    granularity: str
-    aggregator: str
-    selector: frozenset[str]
-    name: str = field(default="", compare=False)
+    The name is a label only: equality and hashing ignore it.
+    """
 
-    def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if not self.selector:
+    __slots__ = ("granularity", "aggregator", "selector", "name")
+
+    def __init__(
+        self,
+        granularity: str,
+        aggregator: str,
+        selector: frozenset[str],
+        name: str = "",
+    ):
+        if granularity not in GRANULARITIES:
+            raise ValueError(f"unknown granularity {granularity!r}")
+        if aggregator not in AGGREGATORS:
+            raise ValueError(f"unknown aggregator {aggregator!r}")
+        if not selector:
             raise ValueError("selector must be nonempty")
-        unknown = set(self.selector) - ALL_TYPE_NAMES
+        unknown = set(selector) - ALL_TYPE_NAMES
         if unknown:
             raise ValueError(f"unknown smell types in selector: {sorted(unknown)}")
+        self._set(granularity, aggregator, selector, name)
+
+    def _key(self) -> tuple[str, str, frozenset[str]]:
+        return self.granularity, self.aggregator, self.selector
 
     def label(self) -> str:
         return self.name or "{},{},{{{}}}".format(

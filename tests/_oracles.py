@@ -12,7 +12,7 @@ counts keep the former min/max clamps and per-module updates, the sweep's
 pooling compares the zipped per-report columns at every grid point, a smell
 value is aggregated one module at a time from the whole report, score
 dumps go through one json.loads or json.dumps call per line, and JSON
-reports go through json.dump.
+reports and the index cache go through json.dump.
 """
 
 from __future__ import annotations
@@ -557,7 +557,8 @@ def build_vector_index(corpus) -> VectorIndex:
 
 
 def save_vector_index(index: VectorIndex, path, corpus_digest: str) -> None:
-    """The index cache, written straight from the per-document dicts."""
+    """The index cache, written straight from the per-document dicts through
+    json.dump."""
     payload = {
         "format": "smelloc-index",
         "version": 1,

@@ -16,7 +16,14 @@ from smelloc.cli import main
 from smelloc.index import load_index
 from smelloc.smells import ALL_TYPE_NAMES
 
-from conftest import HBASE_BUG, HBASE_SCORES, JAVA_BUGS, JAVA_SNAPSHOT
+from conftest import (
+    HBASE_BUG,
+    HBASE_SCORES,
+    JAVA_BUGS,
+    JAVA_SNAPSHOT,
+    write_hbase_fixture,
+    write_java_system,
+)
 
 
 def _read_jsonl(path):
@@ -1024,12 +1031,12 @@ class TestConfigSearchCommand:
 
     def test_external_technique_reads_only_its_dump(self, java_system, tmp_path,
                                                     monkeypatch):
-        from smelloc import dataio
+        from smelloc import corpus
 
         def unread(*args, **kwargs):
             raise AssertionError("an external technique tokenized the snapshot")
 
-        monkeypatch.setattr(dataio, "build_corpus", unread)
+        monkeypatch.setattr(corpus, "build_corpus", unread)
         root = java_system["root"]
         (root / "ext.jsonl").write_text("".join(
             json.dumps({"bug": b["id"], "module": m, "score": float(m in b["gold"])})
@@ -1692,6 +1699,130 @@ class TestStartup:
             proc = _fresh_python("-c", script, *argv)
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout.splitlines()[-1]) == [], argv[0]
+
+    def test_risk_leaves_startup_modules_unloaded(self, hbase_fixture, tmp_path):
+        # risk's records are named tuples and slot classes, so it loads no
+        # dataclasses either.
+        script = (
+            "import json, sys, smelloc.cli; rc = smelloc.cli.main(sys.argv[1:]); "
+            f"print(json.dumps([m for m in {self.STARTUP!r} if m in sys.modules])); "
+            "sys.exit(rc)"
+        )
+        java = write_java_system(tmp_path / "java")
+        modules = tmp_path / "modules.txt"
+        modules.write_text("".join(f"{m}\n" for m in HBASE_SCORES), encoding="utf-8")
+        commands = [
+            ["risk", "--smells", str(hbase_fixture["smells"]), "--modules", str(modules),
+             "--bugs", str(hbase_fixture["bugs"]), "--out", str(tmp_path / "r1.csv"),
+             "--selectors-out", str(tmp_path / "s1.json")],
+            ["risk", "--smells", str(java["smells"]), "--snapshot", str(java["src"]),
+             "--bugs", str(java["bugs"]), "--out", str(tmp_path / "r2.csv")],
+        ]
+        for argv in commands:
+            proc = _fresh_python("-c", script, *argv)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout.splitlines()[-1]) == [], argv[4]
+
+    # Every command loads the package, its command helpers, and the log,
+    # stopword and manifest modules.
+    COMMON = {"smelloc", "smelloc.commands", "smelloc.log", "smelloc.manifest",
+              "smelloc.stopwords"}
+    # Per command: the other smelloc modules it loads, and which of the
+    # heavy start-up modules it loads.
+    LOADED = {
+        "index": ({"commands.index", "corpus", "index", "stemming"}, set()),
+        "rank-native": ({"commands.rank", "corpus", "dataio", "index", "stemming"}, set()),
+        "rank-external": ({"commands.rank", "dataio", "index", "scoredump"}, set()),
+        "evaluate": (
+            {"commands.evaluate", "dataio", "index", "metrics", "scoredump"}, set()),
+        "risk-modules": ({"commands.risk", "dataio", "risk", "smells"}, set()),
+        "risk-snapshot": ({"commands.risk", "corpus", "dataio", "risk", "smells"}, set()),
+        "combine": (
+            {"combine", "commands.combine", "dataio", "index", "metrics", "scoredump",
+             "smells"},
+            {"dataclasses", "inspect"},
+        ),
+        # The INFO lines on what filtering excluded load logging, which
+        # loads traceback.
+        "config-search": (
+            {"combine", "commands.config_search", "corpus", "dataio", "dataset", "index",
+             "metrics", "risk", "smells", "stemming"},
+            {"dataclasses", "inspect", "logging", "traceback"},
+        ),
+        "convert": ({"commands.convert"}, set()),
+    }
+    HEAVY = ("dataclasses", "inspect", "logging", "traceback")
+
+    @staticmethod
+    def _argv(command: str, tmp_path: Path) -> list[str]:
+        """The command line of command, with its inputs written under tmp_path."""
+        java = {k: str(v) for k, v in write_java_system(tmp_path / "java").items()}
+        hbase = {k: str(v) for k, v in write_hbase_fixture(tmp_path).items()}
+        cache, ranked = str(tmp_path / "index.json"), str(tmp_path / "r.jsonl")
+        out = str(tmp_path / "out")
+        if command in ("rank-native", "evaluate"):
+            assert main(["index", "--snapshot", java["src"], "--out", cache]) == 0
+        if command == "evaluate":
+            assert main(["rank", "--technique", "rvsm", "--bugs", java["bugs"],
+                         "--index", cache, "--out", ranked]) == 0
+        modules = tmp_path / "modules.txt"
+        modules.write_text("".join(f"{m}\n" for m in HBASE_SCORES), encoding="utf-8")
+        repo = tmp_path / "repo.xml"
+        repo.write_text(
+            '<bugrepository><bug id="B-1"><fixedFiles><file>A.java</file>'
+            "</fixedFiles></bug></bugrepository>",
+            encoding="utf-8",
+        )
+        return {
+            "index": ["index", "--snapshot", java["src"], "--out", cache],
+            "rank-native": ["rank", "--technique", "rvsm", "--bugs", java["bugs"],
+                            "--index", cache, "--bug", JAVA_BUGS[0]["id"], "--out", out],
+            "rank-external": ["rank", "--technique", "external:x", "--bugs", hbase["bugs"],
+                              "--scores", hbase["scores"], "--out", out],
+            "evaluate": ["evaluate", "--rankings", ranked, "--bugs", java["bugs"],
+                         "--compare", ranked, "--out", out],
+            "risk-modules": ["risk", "--smells", hbase["smells"], "--modules", str(modules),
+                             "--bugs", hbase["bugs"], "--out", out],
+            "risk-snapshot": ["risk", "--smells", java["smells"], "--snapshot", java["src"],
+                              "--bugs", java["bugs"], "--out", out],
+            "combine": ["combine", "--scores", hbase["scores"], "--smells", hbase["smells"],
+                        "--bugs", hbase["bugs"], "--sweep", "--out", out],
+            "config-search": ["config-search", "--systems", java["descriptor"],
+                              "--technique", "rvsm", "--out", out],
+            "convert": ["convert", "--bugrepo", str(repo), "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("command", sorted(LOADED))
+    def test_command_loads_only_its_modules(self, command, tmp_path):
+        # Run as the benchmark runs it, python -m smelloc.cli: runpy executes
+        # cli.py as __main__, so smelloc.cli appears only if a command
+        # module imported it by name and compiled it a second time.
+        argv = self._argv(command, tmp_path)
+        timed = _fresh_python("-X", "importtime", "-m", "smelloc.cli", *argv)
+        assert timed.returncode == 0, timed.stderr
+        imported = [line.split("|")[-1].strip() for line in timed.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "smelloc.commands" in imported and "smelloc.cli" not in imported
+        # The same run through runpy, which -m calls, to list every module
+        # loaded, including those imported before the command ran.
+        script = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('smelloc.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print(*sorted(sys.modules))\n"
+        )
+        bare = _fresh_python("-c", "import sys; print(*sorted(sys.modules))")
+        assert set(self.HEAVY).isdisjoint(bare.stdout.split()), "loaded at start-up"
+        proc = _fresh_python("-c", script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "smelloc.cli" not in loaded
+        own, heavy = self.LOADED[command]
+        assert {m for m in loaded if m.split(".")[0] == "smelloc"} == self.COMMON | {
+            f"smelloc.{m}" for m in own
+        }
+        assert {m for m in self.HEAVY if m in loaded} == heavy
 
     def test_warning_carries_level_and_logger_name(self, tmp_path):
         # The first four types have distinct relative risks; the last three

@@ -8,25 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smelloc import combine, dataio
+from smelloc import combine, corpus, dataio, scoredump
 from smelloc.cli import main
 from smelloc.corpus import source_files
 from smelloc.dataio import (
+    BugReport,
+    filter_dataset,
+    load_bug_reports,
+    load_external_scores,
+    load_smell_report,
+    load_system,
+    prepare_system,
+    write_score_lines,
+)
+from smelloc.dataset import (
     REASON_MISSING,
     REASON_NAN,
     REASON_NO_GOLD,
     REASON_NO_SMELLS,
     REASON_TOO_FEW,
-    BugReport,
-    filter_dataset,
-    load_bug_reports,
     load_descriptor,
-    load_external_scores,
-    load_smell_report,
-    load_system,
-    prepare_system,
     validate_ranking,
-    write_score_lines,
 )
 from smelloc.index import ScoredRanking
 from smelloc.smells import SMELL_TYPE_BY_NAME, SmellInstance
@@ -524,13 +526,13 @@ def _load_logged(load, path):
 def _count_decodes(mp):
     """Record every line that reaches the per-line decoder."""
     calls = []
-    decode = dataio._decode_line
+    decode = scoredump._decode_line
 
     def counted(line):
         calls.append(line)
         return decode(line)
 
-    mp.setattr(dataio, "_decode_line", counted)
+    mp.setattr(scoredump, "_decode_line", counted)
     return calls
 
 
@@ -538,7 +540,7 @@ def _refuse_decodes(mp):
     def refuse(line):
         raise AssertionError(f"line reached the per-line decoder: {line!r}")
 
-    mp.setattr(dataio, "_decode_line", refuse)
+    mp.setattr(scoredump, "_decode_line", refuse)
 
 
 # Ids that json.dumps writes verbatim: printable ASCII without quote or
@@ -578,7 +580,7 @@ class TestBulkScoreReader:
         path = tmp_path_factory.mktemp("blocks") / "scores.jsonl"
         write_score_lines(path, rankings)
         data = path.read_bytes()
-        assert len(data.decode("utf-8")) > dataio._BLOCK_CHARS
+        assert len(data.decode("utf-8")) > scoredump._BLOCK_CHARS
         if not final_newline:
             data = data[:-1]
         path.write_bytes(data.replace(b"\n", newline.encode()))
@@ -764,12 +766,13 @@ class TestDescriptorAndSystem:
 
 
 def _forbid(monkeypatch, *names):
-    """Make each named dataio reader fail the test when it is called."""
+    """Make each named reader fail the test when it is called: build_corpus
+    in corpus, any other name in dataio, where dataio calls them."""
     def called(*args, **kwargs):
         raise AssertionError(f"called one of {names}")
 
     for name in names:
-        monkeypatch.setattr(dataio, name, called)
+        monkeypatch.setattr(corpus if name == "build_corpus" else dataio, name, called)
 
 
 def _with_dumps(java_system, **dumps):

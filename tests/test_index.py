@@ -335,6 +335,19 @@ class TestCache:
         assert cosine_score(query, loaded) == cosine_score(query, idx)
         assert rvsm_score(query, loaded) == rvsm_score(query, idx)
 
+    def test_cache_bytes_equal_the_json_dump_oracle(self, tmp_path):
+        # save_index writes the payload in parts, each through json.dumps (the
+        # C encoder); the oracle writes it through json.dump's pure-Python one.
+        corpus = _random_corpus(random.Random(7), 60) + [
+            _doc("src/Caf\u00e9.java", "gr\u00f6\u00dfe", "t1", "na\u00efve"),
+            _doc('q"uote\\d.java', "t2", "line\u2028sep", "\U0001f41b"),
+        ]
+        digest = corpus_hash(corpus)
+        ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+        save_index(build_index(corpus), ours, digest)
+        save_vector_index(build_vector_index(corpus), theirs, digest)
+        assert ours.read_bytes() == theirs.read_bytes()
+
     def test_stale_cache_rejected(self, tmp_path):
         corpus = self._corpus()
         idx = build_index(corpus)

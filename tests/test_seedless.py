@@ -50,10 +50,11 @@ def outside_imports(source: str) -> list[str]:
 
 
 def _offenders(scan) -> dict[str, list[str]]:
-    sources = sorted(Path(smelloc.__file__).parent.glob("*.py"))
-    assert len(sources) > 1
+    root = Path(smelloc.__file__).parent
+    sources = sorted(root.rglob("*.py"))
+    assert any(path.parent != root for path in sources), "no subpackage scanned"
     return {
-        path.name: found
+        path.relative_to(root).as_posix(): found
         for path in sources
         if (found := scan(path.read_text(encoding="utf-8")))
     }

@@ -1,5 +1,6 @@
 """Tests for smell instances, configurations, and aggregation."""
 
+import pickle
 import random
 import statistics
 
@@ -85,6 +86,27 @@ class TestSmellConfiguration:
             METHOD_GRANULARITY, "a2", frozenset({"Feature Envy", "Message Chains"})
         )
         assert anon.label() == "method,a2,{Feature Envy,Message Chains}"
+
+    def test_equality_and_hash_ignore_name(self):
+        named = SmellConfiguration(CLASS_GRANULARITY, "a1", ALL_TYPE_NAMES, name="g1,a1,s1")
+        anon = SmellConfiguration(CLASS_GRANULARITY, "a1", frozenset(ALL_TYPE_NAMES))
+        assert named == anon and hash(named) == hash(anon)
+        assert len({named, anon}) == 1
+        assert named != SmellConfiguration(METHOD_GRANULARITY, "a1", ALL_TYPE_NAMES)
+        assert named != SmellConfiguration(CLASS_GRANULARITY, "a2", ALL_TYPE_NAMES)
+        assert named != (CLASS_GRANULARITY, "a1", ALL_TYPE_NAMES)
+
+    def test_immutable_and_picklable(self):
+        # config-search sends configurations to worker processes.
+        config = SmellConfiguration(METHOD_GRANULARITY, "a5", frozenset({"Feature Envy"}), "x")
+        with pytest.raises(AttributeError):
+            config.aggregator = "a1"
+        with pytest.raises(AttributeError):
+            del config.name
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and copy.label() == "x"
+        instance = _meth(ENVY, "A.java", 3)
+        assert pickle.loads(pickle.dumps(instance)) == instance
 
     def test_original_index_detection(self):
         assert is_original_index(
