@@ -19,9 +19,8 @@ and compares the blended floats directly only next to a crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .dataio import TechniqueScores
 from .log import get_logger
@@ -51,8 +50,7 @@ GRANULARITY_LABELS = {
 LABEL_BY_GRANULARITY = {v: k for k, v in GRANULARITY_LABELS.items()}
 
 
-@dataclass(frozen=True)
-class System:
+class System(NamedTuple):
     """One project version prepared for blending with one ranked universe."""
 
     name: str
@@ -62,8 +60,7 @@ class System:
     smells: tuple[SmellInstance, ...]
 
 
-@dataclass(frozen=True)
-class AlphaSweepResult:
+class AlphaSweepResult(NamedTuple):
     """One metric's curve over the alpha grid and where it peaks."""
 
     values: tuple[float, ...]  # one point per grid alpha
@@ -72,8 +69,7 @@ class AlphaSweepResult:
     stats: tuple[float, ...]  # pooled stats at the smallest maximizer
 
 
-@dataclass(frozen=True)
-class ConfigRow:
+class ConfigRow(NamedTuple):
     """One configuration's pooled values and the sweeps they were pooled from."""
 
     config: SmellConfiguration
@@ -97,8 +93,7 @@ class ConfigRow:
         }
 
 
-@dataclass(frozen=True)
-class ConfigSearchReport:
+class ConfigSearchReport(NamedTuple):
     rows: tuple[ConfigRow, ...]  # sorted by map value descending
     ideal: dict[str, float]  # per metric, the pseudo-ideal pooled value
     ideal_choice: dict[str, dict[str, tuple[str, float]]]  # metric -> system -> (config label, alpha)
@@ -146,7 +141,7 @@ def blend(
     }
 
 
-_N_STATS = 6  # hits at 1, 5, 10, reciprocal-rank sum, precision sum, reports
+_N_STATS = len(METRIC_NAMES) + 1  # report_stats' sums, then the report count
 _STAT_INDEX = {metric: k for k, metric in enumerate(METRIC_NAMES)}
 
 _BETA_GRID = tuple(1.0 - alpha for alpha in ALPHA_GRID)
@@ -159,8 +154,7 @@ _STEPS = len(ALPHA_GRID) - 1  # grid point i is alpha i / _STEPS
 _NEAR_TIE = 1e-12
 
 
-@dataclass(frozen=True)
-class _Report:
+class _Report(NamedTuple):
     """One bug report, ready to sweep against any smell vector."""
 
     scores: tuple[float, ...]  # normalized scores in ascending module order

@@ -89,9 +89,7 @@ def run(args) -> int:
 
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["config", "top1", "top5", "top10", "mrr", "map", "#systems", "original"]
-            )
+            writer.writerow(["config", *STAT_METRICS, "#systems", "original"])
             for row in report.rows:
                 writer.writerow(
                     [row.config.label()]

@@ -59,8 +59,8 @@ def run(args) -> int:
                 {
                     "bug": o.bug_id,
                     "rank_of_first_gold": o.rank_of_first_gold,
-                    "reciprocal_rank": metrics.reciprocal_rank(o),
-                    "average_precision": o.average_precision,
+                    "reciprocal_rank": o.stats[3],
+                    "average_precision": o.stats[4],
                 }
                 for o in outcomes
             ],

@@ -326,10 +326,6 @@ def filter_dataset(
     systems without smells are dropped, then systems with fewer than five
     surviving reports. Raises when nothing survives.
     """
-    # combine.System is a dataclass; the commands that never filter do not
-    # load dataclasses.
-    from dataclasses import replace
-
     from .dataset import (
         MIN_REPORTS,
         REASON_NO_SMELLS,
@@ -363,7 +359,7 @@ def filter_dataset(
                 ExcludedSystem(system=system.name, reason=REASON_TOO_FEW)
             )
             continue
-        kept_systems.append((replace(system, bug_ids=tuple(surviving)), scores))
+        kept_systems.append((system._replace(bug_ids=tuple(surviving)), scores))
     if not kept_systems:
         raise ValueError("dataset empty after filtering")
     return kept_systems, ValidationReport(

@@ -28,7 +28,7 @@ class RankingOutcome(NamedTuple):
 
     bug_id: str
     rank_of_first_gold: int | None
-    average_precision: float
+    stats: tuple[float, ...]  # report_stats: one value per METRIC_NAMES
 
 
 class MetricReport(NamedTuple):
@@ -60,9 +60,9 @@ def report_stats(positions: Sequence[int], gold_count: int) -> tuple[float, ...]
 
 def ranking_stats(
     ordered: Sequence[Hashable], gold_set: Iterable[Hashable]
-) -> tuple[int | None, float]:
-    """Rank of the first gold module (1-based, None if absent) and average
-    precision over the full ranking.
+) -> tuple[int | None, tuple[float, ...]]:
+    """Rank of the first gold module (1-based, None if absent) and the
+    report_stats of the full ranking.
 
     Gold modules missing from the ranking still count in the precision
     denominator, so an incomplete ranking cannot reach AP 1.
@@ -71,55 +71,31 @@ def ranking_stats(
     if not gold:
         raise ValueError("empty gold set")
     positions = [p for p, module in enumerate(ordered, start=1) if module in gold]
-    *_, average_precision = report_stats(positions, len(gold))
-    return positions[0] if positions else None, average_precision
+    return positions[0] if positions else None, report_stats(positions, len(gold))
 
 
 def evaluate_ranking(
     ordered: Sequence[Hashable], gold_set: Iterable[Hashable], bug_id: str = ""
 ) -> RankingOutcome:
     """Evaluate one ranking against its gold set."""
-    rank, ap = ranking_stats(ordered, gold_set)
-    return RankingOutcome(bug_id=bug_id, rank_of_first_gold=rank, average_precision=ap)
-
-
-def reciprocal_rank(outcome: RankingOutcome) -> float:
-    """1 / rank of the first gold module; 0 when no gold module is ranked."""
-    rank = outcome.rank_of_first_gold
-    return 1.0 / rank if rank is not None else 0.0
-
-
-def top_count(outcomes: Sequence[RankingOutcome], n: int) -> int:
-    """Integer number of reports with a gold module in the top n."""
-    if n < 1:
-        raise ValueError(f"cutoff must be at least 1, got {n}")
-    return sum(
-        1
-        for o in outcomes
-        if o.rank_of_first_gold is not None and o.rank_of_first_gold <= n
-    )
-
-
-def mean_reciprocal_rank(outcomes: Sequence[RankingOutcome]) -> float:
-    if not outcomes:
-        raise ValueError("no bug reports")
-    return math.fsum(reciprocal_rank(o) for o in outcomes) / len(outcomes)
-
-
-def mean_average_precision(outcomes: Sequence[RankingOutcome]) -> float:
-    if not outcomes:
-        raise ValueError("no bug reports")
-    return math.fsum(o.average_precision for o in outcomes) / len(outcomes)
+    rank, stats = ranking_stats(ordered, gold_set)
+    return RankingOutcome(bug_id, rank, stats)
 
 
 def metric_report(outcomes: Sequence[RankingOutcome]) -> MetricReport:
     """Aggregate a batch of outcomes; ratios are derived from integer counts."""
-    counts = {n: top_count(outcomes, n) for n in TOP_CUTOFFS}
+    if not outcomes:
+        raise ValueError("no bug reports")
+    n = len(outcomes)
+    counts = {
+        cutoff: sum(1 for o in outcomes if o.stats[k])
+        for k, cutoff in enumerate(TOP_CUTOFFS)
+    }
     return MetricReport(
-        top={n: counts[n] / len(outcomes) for n in TOP_CUTOFFS} if outcomes else {},
+        top={cutoff: counts[cutoff] / n for cutoff in TOP_CUTOFFS},
         counts=counts,
-        mrr=mean_reciprocal_rank(outcomes),
-        mean_ap=mean_average_precision(outcomes),
+        mrr=math.fsum(o.stats[3] for o in outcomes) / n,
+        mean_ap=math.fsum(o.stats[4] for o in outcomes) / n,
     )
 
 
@@ -221,14 +197,7 @@ def per_report_values(
     outcomes: Sequence[RankingOutcome], metric: str
 ) -> list[float]:
     """One value per bug report for a metric, for paired statistics."""
-    if metric == "map":
-        return [o.average_precision for o in outcomes]
-    if metric == "mrr":
-        return [reciprocal_rank(o) for o in outcomes]
-    if metric.startswith("top"):
-        n = int(metric[3:])
-        return [
-            1.0 if o.rank_of_first_gold is not None and o.rank_of_first_gold <= n else 0.0
-            for o in outcomes
-        ]
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}")
+    k = METRIC_NAMES.index(metric)
+    return [o.stats[k] for o in outcomes]

@@ -5,7 +5,8 @@ under test: the stemmer is a procedural buffer-and-offsets port and,
 separately, the package's former suffix-scanning stemmer, the splitter
 is a character loop and, separately, a two-stage regex, cosine goes through
 dense numpy vectors and, separately, the former per-document dict index
-with its dict-keyed dot products, the rank metrics count positions exhaustively, Cliff's
+with its dict-keyed dot products, the rank metrics count positions exhaustively
+and, separately, aggregate from each report's first gold rank, Cliff's
 delta is the O(n*m) double loop, relative risk is direct set counting,
 the alpha sweep fully sorts the universe at every grid point, the ahead
 counts keep the former min/max clamps and per-module updates, the sweep's
@@ -644,6 +645,54 @@ def top_hit_exhaustive(ordered, gold, n: int) -> bool:
     return any(m in set(gold) for m in list(ordered)[:n])
 
 
+# The metrics' aggregates as they were before they read report_stats: hits
+# and reciprocal ranks come from each outcome's first gold rank.
+
+
+def reciprocal_rank(outcome) -> float:
+    """1 / rank of the first gold module; 0 when no gold module is ranked."""
+    rank = outcome.rank_of_first_gold
+    return 1.0 / rank if rank is not None else 0.0
+
+
+def top_count(outcomes, n: int) -> int:
+    """Integer number of reports with a gold module in the top n."""
+    if n < 1:
+        raise ValueError(f"cutoff must be at least 1, got {n}")
+    return sum(
+        1
+        for o in outcomes
+        if o.rank_of_first_gold is not None and o.rank_of_first_gold <= n
+    )
+
+
+def mean_reciprocal_rank(outcomes) -> float:
+    if not outcomes:
+        raise ValueError("no bug reports")
+    return math.fsum(reciprocal_rank(o) for o in outcomes) / len(outcomes)
+
+
+def mean_average_precision(outcomes) -> float:
+    if not outcomes:
+        raise ValueError("no bug reports")
+    return math.fsum(o.stats[4] for o in outcomes) / len(outcomes)
+
+
+def per_report_values_by_rank(outcomes, metric: str) -> list[float]:
+    """One value per bug report for a metric, for paired statistics."""
+    if metric == "map":
+        return [o.stats[4] for o in outcomes]
+    if metric == "mrr":
+        return [reciprocal_rank(o) for o in outcomes]
+    if metric.startswith("top"):
+        n = int(metric[3:])
+        return [
+            1.0 if o.rank_of_first_gold is not None and o.rank_of_first_gold <= n else 0.0
+            for o in outcomes
+        ]
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 def cliffs_delta_pairwise(x, y) -> float:
     """O(n*m) definition: mean sign over all pairs."""
     greater = sum(1 for a in x for b in y if a > b)
@@ -710,7 +759,7 @@ def sweep_stats_by_sorting(system, scores, norm_smell):
             order = tuple(sorted(indices, key=combined.__getitem__, reverse=True))
             stats = outcome_cache.get(order)
             if stats is None:
-                rank, ap = ranking_stats(order, gold_idx)
+                rank, (*_, ap) = ranking_stats(order, gold_idx)
                 stats = (
                     1.0 if rank is not None and rank <= 1 else 0.0,
                     1.0 if rank is not None and rank <= 5 else 0.0,

@@ -35,7 +35,6 @@ from smelloc.metrics import (
     effect_size_label,
     evaluate_ranking,
     metric_report,
-    top_count,
     wilcoxon_signed_rank,
 )
 from smelloc.risk import relative_risk
@@ -250,13 +249,14 @@ def test_bruteforce_oracle_equivalence():
         outcome = evaluate_ranking(modules, gold, f"b{i}")
         max_err = max(
             max_err,
-            abs(outcome.average_precision - average_precision_exhaustive(modules, gold)),
+            abs(outcome.stats[4] - average_precision_exhaustive(modules, gold)),
         )
         if outcome.rank_of_first_gold != first_gold_rank_exhaustive(modules, gold):
             mismatches += 1
+        counts = metric_report([outcome]).counts
         for cut in (1, 5, 10):
             want = 1 if top_hit_exhaustive(modules, gold, cut) else 0
-            if top_count([outcome], cut) != want:
+            if counts[cut] != want:
                 mismatches += 1
 
     for i in range(1000):

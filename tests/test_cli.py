@@ -1740,14 +1740,12 @@ class TestStartup:
         "combine": (
             {"combine", "commands.combine", "dataio", "index", "metrics", "scoredump",
              "smells"},
-            {"dataclasses", "inspect"},
+            set(),
         ),
-        # The INFO lines on what filtering excluded load logging, which
-        # loads traceback.
         "config-search": (
             {"combine", "commands.config_search", "corpus", "dataio", "dataset", "index",
              "metrics", "risk", "smells", "stemming"},
-            {"dataclasses", "inspect", "logging", "traceback"},
+            set(),
         ),
         "convert": ({"commands.convert"}, set()),
     }
@@ -1852,6 +1850,28 @@ class TestStartup:
         assert proc.stderr == (
             "WARNING smelloc.risk: relative-risk tie at the top-five cut; keeping 7 types\n"
         )
+
+    def test_dropped_info_leaves_logging_unloaded(self):
+        script = (
+            "import sys\n"
+            "from smelloc import log\n"
+            "log.configure(False)\n"
+            "logger = log.get_logger('smelloc.x')\n"
+            "logger.info('%s', 'dropped')\n"
+            "logger.debug('dropped')\n"
+            "print('logging' in sys.modules)\n"
+            "logger.warning('%s', 'kept')\n"
+            "print('logging' in sys.modules)\n"
+        )
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stderr == "WARNING smelloc.x: kept\n"
+        # A library caller that never configures gets the real logger.
+        unconfigured = script.replace("log.configure(False)\n", "")
+        proc = _fresh_python("-c", unconfigured)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
     def test_verbose_logs_info_lines(self, java_system, tmp_path):
         argv = ["config-search", "--systems", str(java_system["descriptor"]),

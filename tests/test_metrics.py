@@ -3,20 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from smelloc.metrics import (
+    METRIC_NAMES,
+    TOP_CUTOFFS,
     cliffs_delta,
     comparison_stats,
     effect_size_label,
     evaluate_ranking,
-    mean_average_precision,
-    mean_reciprocal_rank,
     metric_report,
     per_report_values,
     ranking_stats,
-    reciprocal_rank,
-    top_count,
     wilcoxon_signed_rank,
 )
 
@@ -24,6 +24,11 @@ from _oracles import (
     average_precision_exhaustive,
     cliffs_delta_pairwise,
     first_gold_rank_exhaustive,
+    mean_average_precision,
+    mean_reciprocal_rank,
+    per_report_values_by_rank,
+    reciprocal_rank,
+    top_count,
     top_hit_exhaustive,
 )
 
@@ -42,17 +47,17 @@ def _random_ranking(rng: random.Random):
 class TestRankingStats:
     def test_hand_example(self):
         ordered = ["w", "g1", "x", "g2", "y"]
-        rank, ap = ranking_stats(ordered, {"g1", "g2"})
+        rank, (*_, ap) = ranking_stats(ordered, {"g1", "g2"})
         assert rank == 2
         assert ap == pytest.approx((1 / 2 + 2 / 4) / 2, abs=1e-15)
 
     def test_missing_gold_inflates_denominator(self):
-        rank, ap = ranking_stats(["g1", "x"], {"g1", "absent"})
+        rank, (*_, ap) = ranking_stats(["g1", "x"], {"g1", "absent"})
         assert rank == 1
         assert ap == 0.5
 
     def test_no_gold_ranked(self):
-        rank, ap = ranking_stats(["a", "b"], {"absent"})
+        rank, (*_, ap) = ranking_stats(["a", "b"], {"absent"})
         assert rank is None
         assert ap == 0.0
 
@@ -64,7 +69,7 @@ class TestRankingStats:
         rng = random.Random(60622)
         for _ in range(300):
             ordered, gold = _random_ranking(rng)
-            rank, ap = ranking_stats(ordered, gold)
+            rank, (*_, ap) = ranking_stats(ordered, gold)
             assert rank == first_gold_rank_exhaustive(ordered, gold)
             assert ap == pytest.approx(
                 average_precision_exhaustive(ordered, gold), abs=1e-12
@@ -72,7 +77,7 @@ class TestRankingStats:
 
     def test_perfect_ranking_has_unit_ap(self):
         ordered = ["g1", "g2", "g3", "x", "y"]
-        rank, ap = ranking_stats(ordered, {"g1", "g2", "g3"})
+        rank, (*_, ap) = ranking_stats(ordered, {"g1", "g2", "g3"})
         assert rank == 1
         assert ap == 1.0
 
@@ -84,7 +89,7 @@ class TestRankingStats:
             rng.shuffle(modules)
             gold = {rng.choice(modules)}
             outcome = evaluate_ranking(modules, gold)
-            assert outcome.average_precision == reciprocal_rank(outcome)
+            assert outcome.stats[4] == outcome.stats[3] == reciprocal_rank(outcome)
 
 
 class TestTopAndAggregates:
@@ -115,40 +120,64 @@ class TestTopAndAggregates:
         for _ in range(200):
             ordered, gold = _random_ranking(rng)
             outcome = evaluate_ranking(ordered, gold)
+            counts = metric_report([outcome]).counts
             for n in (1, 5, 10):
-                hit = top_count([outcome], n) == 1
-                assert hit == top_hit_exhaustive(ordered, gold, n)
+                assert (counts[n] == 1) == top_hit_exhaustive(ordered, gold, n)
 
     def test_monotone_in_cutoff(self):
         outcomes = self._outcomes([3, None, 8, 1, 12])
-        assert (
-            top_count(outcomes, 1)
-            <= top_count(outcomes, 5)
-            <= top_count(outcomes, 10)
-            <= len(outcomes)
-        )
+        counts = metric_report(outcomes).counts
+        assert counts[1] <= counts[5] <= counts[10] <= len(outcomes)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            top_count([], 0)
-        assert top_count([], 5) == 0
         with pytest.raises(ValueError, match="no bug reports"):
             metric_report([])
-        with pytest.raises(ValueError, match="no bug reports"):
-            mean_reciprocal_rank([])
-        with pytest.raises(ValueError, match="no bug reports"):
-            mean_average_precision([])
 
     def test_per_report_values(self):
         outcomes = self._outcomes([1, 3, None])
         assert per_report_values(outcomes, "top1") == [1.0, 0.0, 0.0]
         assert per_report_values(outcomes, "top5") == [1.0, 1.0, 0.0]
+        assert per_report_values(outcomes, "top10") == [1.0, 1.0, 0.0]
         assert per_report_values(outcomes, "mrr") == [1.0, 1 / 3, 0.0]
-        assert per_report_values(outcomes, "map") == [
-            o.average_precision for o in outcomes
-        ]
+        assert per_report_values(outcomes, "map") == [1.0, 1 / 3, 0.0]
         with pytest.raises(ValueError, match="unknown metric"):
             per_report_values(outcomes, "ndcg")
+
+
+@st.composite
+def _outcomes(draw):
+    """Evaluated rankings whose gold sets are partly or wholly unranked."""
+    outcomes = []
+    for i in range(draw(st.integers(1, 12))):
+        modules = [f"m{j}" for j in range(draw(st.integers(0, 25)))]
+        ordered = draw(st.permutations(modules))
+        ranked = draw(st.sets(st.sampled_from(modules), max_size=4)) if modules else set()
+        missing = draw(st.integers(0 if ranked else 1, 3))
+        gold = ranked | {f"out{k}" for k in range(missing)}
+        outcomes.append(evaluate_ranking(ordered, gold, f"b{i}"))
+    return outcomes
+
+
+class TestAggregatesMatchRankOracles:
+    def test_metric_names_start_with_the_cutoffs(self):
+        assert METRIC_NAMES[: len(TOP_CUTOFFS)] == tuple(f"top{n}" for n in TOP_CUTOFFS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_outcomes())
+    def test_report_and_per_report_values(self, outcomes):
+        report = metric_report(outcomes)
+        counts = {n: top_count(outcomes, n) for n in TOP_CUTOFFS}
+        assert report.counts == counts
+        assert all(type(c) is int for c in report.counts.values())
+        assert {n: r.hex() for n, r in report.top.items()} == {
+            n: (c / len(outcomes)).hex() for n, c in counts.items()
+        }
+        assert report.mrr.hex() == mean_reciprocal_rank(outcomes).hex()
+        assert report.mean_ap.hex() == mean_average_precision(outcomes).hex()
+        for metric in METRIC_NAMES:
+            assert [v.hex() for v in per_report_values(outcomes, metric)] == [
+                v.hex() for v in per_report_values_by_rank(outcomes, metric)
+            ], metric
 
 
 class TestWilcoxon:
