@@ -162,9 +162,10 @@ class _Report(NamedTuple):
     gold_count: int  # gold modules, counting those the universe lacks
 
 
-def _reports(system: System, scores: TechniqueScores) -> list[_Report]:
-    """Normalize every bug report's scores over the sorted universe once."""
-    modules = tuple(sorted(system.modules))
+def _reports(
+    system: System, scores: TechniqueScores, modules: tuple[str, ...]
+) -> list[_Report]:
+    """Normalize every bug report's scores once over modules, the sorted universe."""
     universe = set(modules)
     reports = []
     for bug_id in system.bug_ids:
@@ -493,12 +494,12 @@ def _system_task(
     configuration, the index of its list.
     """
     system, scores, configs = args
-    reports = _reports(system, scores)
+    modules = tuple(sorted(system.modules))
+    reports = _reports(system, scores, modules)
     memo: dict[tuple[tuple[int, ...], int], tuple[float, ...]] = {}
     position: dict[tuple[float, ...], int] = {}
     distinct: list[list[tuple[float, ...]]] = []
     index = []
-    modules = tuple(sorted(system.modules))
     for config in configs:
         raw = smell_values(modules, system.smells, config)
         key = tuple(raw[m] for m in modules)

@@ -49,6 +49,8 @@ def run(args) -> int:
     inputs = {"scores": args.scores, "smells": args.smells}
     if args.bugs:
         inputs["bugs"] = args.bugs
+    if args.selectors:
+        inputs["selectors"] = args.selectors
     run_manifest = manifest.build_manifest(
         sys.argv[1:], inputs, config_path=args.run_config, notes=notes
     )
@@ -123,7 +125,7 @@ def run(args) -> int:
         except ValueError as exc:
             raise UsageError(f"{args.scores}: bug {bug_id!r}: {exc}") from exc
         blended = combine.blend(norm_score, norm_smell, alpha)
-        rankings.append(index.rank(blended, bug_id, f"blend:{config.label()}"))
+        rankings.append((bug_id, index.rank(blended)))
     dataio.write_score_lines(args.out, rankings)
     manifest.write_sidecar_manifest(args.out, run_manifest)
     print(f"blended {len(rankings)} rankings at alpha {alpha:g} -> {args.out}")

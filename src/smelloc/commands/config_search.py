@@ -39,9 +39,9 @@ def run(args) -> int:
     )
     report = combine.config_search(kept, configs, jobs=args.jobs or 1)
 
-    inputs = {
-        f"descriptor{i}": path for i, path in enumerate(args.systems)
-    }
+    inputs = {f"descriptor{i}": path for i, path in enumerate(args.systems)}
+    if args.selectors:
+        inputs["selectors"] = args.selectors
     run_manifest = manifest.build_manifest(
         sys.argv[1:], inputs, config_path=args.run_config
     )

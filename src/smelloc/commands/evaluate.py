@@ -18,12 +18,11 @@ def _outcomes_from_dump(path: Path, reports) -> list:
     outcomes = []
     for report in reports:
         try:
-            ranking = index.rank(scores.by_bug[report.id], report.id)
+            ranking = index.rank(scores.by_bug[report.id])
         except ValueError as exc:
             raise UsageError(f"{path}: bug {report.id!r}: {exc}") from exc
-        outcomes.append(
-            metrics.evaluate_ranking(ranking.modules(), report.gold, report.id)
-        )
+        modules = [module for module, _ in ranking]
+        outcomes.append(metrics.evaluate_ranking(modules, report.gold, report.id))
     return outcomes
 
 

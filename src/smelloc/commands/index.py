@@ -17,11 +17,12 @@ def run(args) -> int:
         raise UsageError(f"no source files under {snapshot}")
     term_index = index.build_index(documents)
     digest = index.corpus_hash(documents)
-    index.save_index(term_index, args.out, digest)
+    index.save_index(term_index, args.out, digest, documents)
     manifest.write_sidecar_manifest(
         args.out,
         manifest.build_manifest(
-            sys.argv[1:], {}, notes=(f"corpus sha256 {digest}",)
+            sys.argv[1:], {}, config_path=args.run_config,
+            notes=(f"corpus sha256 {digest}",),
         ),
     )
     print(

@@ -43,7 +43,7 @@ def run(args) -> int:
     if technique in dataio.NATIVE_TECHNIQUES:
         stopwords = stopword_set(args)
         rankings = [
-            index.rank(scores, bug_id, technique)
+            (bug_id, index.rank(scores))
             for bug_id, scores in dataio.native_scores(
                 _term_index(args, stopwords), reports, technique, stopwords
             )
@@ -62,7 +62,7 @@ def run(args) -> int:
             if per_bug is None:
                 raise UsageError(f"no scores for bug {report.id!r} in {args.scores}")
             try:
-                rankings.append(index.rank(per_bug, report.id, name))
+                rankings.append((report.id, index.rank(per_bug)))
             except ValueError as exc:
                 raise UsageError(f"{args.scores}: bug {report.id!r}: {exc}") from exc
         inputs = {"bugs": args.bugs, "scores": args.scores}
@@ -72,7 +72,8 @@ def run(args) -> int:
         )
     dataio.write_score_lines(args.out, rankings)
     manifest.write_sidecar_manifest(
-        args.out, manifest.build_manifest(sys.argv[1:], inputs)
+        args.out,
+        manifest.build_manifest(sys.argv[1:], inputs, config_path=args.run_config),
     )
     print(f"wrote {len(rankings)} rankings -> {args.out}")
     return 0

@@ -29,7 +29,7 @@ from .stopwords import DEFAULT_STOPWORDS, read_json, read_utf8, utf8_error
 if TYPE_CHECKING:
     from . import combine
     from .dataset import SystemDescriptor, SystemSnapshot, ValidationReport
-    from .index import ScoredRanking, TermIndex
+    from .index import TermIndex
     from .smells import SmellInstance
 
     # One system scored by one technique: what filtering and the search take.
@@ -174,8 +174,10 @@ def load_external_scores(
     return TechniqueScores(technique=technique, by_bug=by_bug)
 
 
-def write_score_lines(path: str | Path, rankings: Iterable[ScoredRanking]) -> None:
-    """Dump rankings as score-dump lines, best score first.
+def write_score_lines(
+    path: str | Path, rankings: Iterable[tuple[str, Sequence[tuple[str, float]]]]
+) -> None:
+    """Dump (bug id, ranked (module, score) pairs) as score-dump lines.
 
     Each line is the json.dumps of {"bug", "module", "score"}. Each bug id and
     each distinct module id is encoded once, and each score with
@@ -184,10 +186,10 @@ def write_score_lines(path: str | Path, rankings: Iterable[ScoredRanking]) -> No
     """
     names: dict[str, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
-        for ranking in rankings:
-            head = '{"bug": ' + json.dumps(ranking.bug_id) + ', "module": '
+        for bug_id, entries in rankings:
+            head = '{"bug": ' + json.dumps(bug_id) + ', "module": '
             lines = []
-            for module, score in ranking.entries:
+            for module, score in entries:
                 name = names.get(module)
                 if name is None:
                     name = names[module] = json.dumps(module)
@@ -235,7 +237,7 @@ def load_system(descriptor: SystemDescriptor) -> SystemSnapshot:
             len(stray_smelly),
             sorted(stray_smelly)[0],
         )
-    return dataset.SystemSnapshot(descriptor, descriptor.name, modules, reports, smells)
+    return dataset.SystemSnapshot(descriptor, modules, reports, smells)
 
 
 def native_scores(
@@ -287,7 +289,7 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
         if extra:
             logger.warning(
                 "system %s technique %s: %d modules outside the snapshot kept",
-                snapshot.name,
+                descriptor.name,
                 technique,
                 len(extra),
             )
@@ -300,14 +302,14 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
         if filled:
             logger.warning(
                 "system %s technique %s: %d missing module scores filled with 0",
-                snapshot.name,
+                descriptor.name,
                 technique,
                 filled,
             )
     else:
-        raise ValueError(f"system {snapshot.name}: unknown technique {technique!r}")
+        raise ValueError(f"system {descriptor.name}: unknown technique {technique!r}")
     system = combine.System(
-        name=snapshot.name,
+        name=descriptor.name,
         modules=universe,
         bug_ids=tuple(r.id for r in snapshot.reports),
         gold={r.id: r.gold for r in snapshot.reports},

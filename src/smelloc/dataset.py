@@ -50,7 +50,6 @@ class SystemSnapshot(NamedTuple):
     score dumps stay at the descriptor's paths until prepare_system."""
 
     descriptor: SystemDescriptor
-    name: str
     modules: tuple[str, ...]
     reports: tuple[BugReport, ...]
     smells: tuple[SmellInstance, ...]

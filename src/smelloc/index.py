@@ -3,8 +3,8 @@
 The index weights terms as (1 + ln tf) * ln(N / df). Plain cosine similarity
 gives the first baseline; the second multiplies each cosine by a logistic
 function of the document's min-max-normalized token count, which favors
-larger modules. Both return per-module score maps that rank() turns into a
-deterministic ordering.
+larger modules. Both return per-module score maps; rank() orders one by
+score, ties by module id.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .stopwords import read_json
 
@@ -31,13 +31,12 @@ class TermIndex:
     doc_norms[i] is the norm of its vector. postings[tid] lists, in document
     order, the documents whose weight for term tid is nonzero, and
     weights[tid] those weights; a term with no nonzero weight has no entry.
-    doc_terms[i] lists document i's weighted terms in order of first
-    occurrence, the order the cache writes them in. Treat it as immutable.
+    Treat it as immutable.
     """
 
     __slots__ = (
         "vocabulary", "doc_freq", "doc_ids", "doc_lengths", "doc_norms",
-        "postings", "weights", "doc_terms", "_length_factors",
+        "postings", "weights", "_length_factors",
     )
 
     def __init__(
@@ -49,7 +48,6 @@ class TermIndex:
         doc_norms: list[float],
         postings: dict[int, list[int]],
         weights: dict[int, list[float]],
-        doc_terms: list[list[int]],
     ):
         self.vocabulary = vocabulary
         self.doc_freq = doc_freq
@@ -58,7 +56,6 @@ class TermIndex:
         self.doc_norms = doc_norms
         self.postings = postings
         self.weights = weights
-        self.doc_terms = doc_terms
         self._length_factors = None
 
     @property
@@ -76,17 +73,6 @@ class TermIndex:
         return self._length_factors
 
 
-class ScoredRanking(NamedTuple):
-    """One technique's ordering of modules for one bug report."""
-
-    bug_id: str
-    technique: str
-    entries: tuple[tuple[str, float], ...]
-
-    def modules(self) -> tuple[str, ...]:
-        return tuple(module for module, _ in self.entries)
-
-
 def _index(
     vocabulary: dict[str, int],
     doc_freq: tuple[int, ...],
@@ -102,18 +88,16 @@ def _index(
     doc_lists: list[list[int]] = [[] for _ in vocabulary]
     weight_lists: list[list[float]] = [[] for _ in vocabulary]
     doc_norms = []
-    doc_terms = []
     for i, (terms, weights) in enumerate(vectors):
         for tid, weight in zip(terms, weights):
             doc_lists[tid].append(i)
             weight_lists[tid].append(weight)
-        doc_terms.append(terms)
         doc_norms.append(math.sqrt(math.fsum([w * w for w in weights])))
     postings = {tid: docs for tid, docs in enumerate(doc_lists) if docs}
     weights_by_term = {tid: weight_lists[tid] for tid in postings}
     return TermIndex(
         vocabulary, doc_freq, doc_ids, doc_lengths,
-        doc_norms, postings, weights_by_term, doc_terms,
+        doc_norms, postings, weights_by_term,
     )
 
 
@@ -227,15 +211,12 @@ def rvsm_score(query: TokenDocument, index: TermIndex) -> dict[str, float]:
     }
 
 
-def rank(
-    scores: Mapping[str, float], bug_id: str = "", technique: str = ""
-) -> ScoredRanking:
-    """Order modules by score descending, ties by ascending module id."""
+def rank(scores: Mapping[str, float]) -> tuple[tuple[str, float], ...]:
+    """(module, score) pairs by score descending, ties by ascending module id."""
     for module, score in scores.items():
         if not math.isfinite(score):
             raise ValueError(f"invalid score for module {module!r}: {score}")
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ScoredRanking(bug_id=bug_id, technique=technique, entries=tuple(ordered))
+    return tuple(sorted(scores.items(), key=lambda item: (-item[1], item[0])))
 
 
 def corpus_hash(corpus: Iterable[TokenDocument]) -> str:
@@ -246,31 +227,43 @@ def corpus_hash(corpus: Iterable[TokenDocument]) -> str:
     return digest.hexdigest()
 
 
-def _doc_vectors(index: TermIndex) -> Iterator[tuple[str, dict[str, float]]]:
-    """Each document's id and weights by term id string, in first-occurrence
-    order, one document at a time.
+def _doc_vectors(
+    index: TermIndex, corpus: Sequence[TokenDocument]
+) -> Iterator[tuple[str, dict[str, float]]]:
+    """Each document's id and weights by term id string, in the order its
+    tokens first occur, one document at a time.
 
-    Postings are in document order, so document i is the next unread entry
-    of every term it has.
+    corpus is the one the index was built from. A term has a posting exactly
+    when its weight is nonzero, and then one per document that has it, in
+    document order: document i is the next unread entry of each.
     """
     read = dict.fromkeys(index.postings, 0)
-    for doc_id, terms in zip(index.doc_ids, index.doc_terms):
+    for doc_id, doc in zip(index.doc_ids, corpus):
         vec = {}
-        for tid in terms:
-            k = read[tid]
-            read[tid] = k + 1
-            vec[str(tid)] = index.weights[tid][k]
+        for tid in map(index.vocabulary.get, dict.fromkeys(doc.tokens)):
+            k = read.get(tid)
+            if k is not None:
+                read[tid] = k + 1
+                vec[str(tid)] = index.weights[tid][k]
         yield doc_id, vec
 
 
-def save_index(index: TermIndex, path: str | Path, corpus_digest: str) -> None:
+def save_index(
+    index: TermIndex, path: str | Path, corpus_digest: str, corpus: Sequence[TokenDocument]
+) -> None:
     """Write a single-file index cache keyed by the corpus content hash.
+
+    corpus is the one the index was built from and gives each document's
+    term order; other document ids, or another order, raise ValueError
+    naming path before anything is written.
 
     The text is what json.dump of the payload writes, keys in this order.
     Each part goes through json.dumps, which runs the C encoder where
     json.dump runs the pure-Python one, and the document vectors go one at
     a time, so the whole text is never held in memory.
     """
+    if [doc.id for doc in corpus] != index.doc_ids:
+        raise ValueError(f"{path}: the corpus is not the one the index was built from")
     head = json.dumps(
         {
             "format": _CACHE_FORMAT,
@@ -283,7 +276,7 @@ def save_index(index: TermIndex, path: str | Path, corpus_digest: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "doc_vectors": {')
         sep = ""
-        for doc_id, vec in _doc_vectors(index):
+        for doc_id, vec in _doc_vectors(index, corpus):
             fh.write(f"{sep}{json.dumps(doc_id)}: {json.dumps(vec)}")
             sep = ", "
         fh.write('}, "doc_lengths": ' + json.dumps(index.doc_lengths) + "}")

@@ -938,15 +938,12 @@ def load_external_scores_by_json_loads(path, technique, known_bugs=None):
 
 
 def write_score_lines_by_json_dumps(path, rankings) -> None:
-    """Dump rankings in the interchange score format, one json.dumps per line."""
+    """Dump (bug id, (module, score) pairs) rankings in the interchange score
+    format, one json.dumps per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for ranking in rankings:
-            for module, score in ranking.entries:
-                fh.write(
-                    json.dumps(
-                        {"bug": ranking.bug_id, "module": module, "score": score}
-                    )
-                )
+        for bug_id, entries in rankings:
+            for module, score in entries:
+                fh.write(json.dumps({"bug": bug_id, "module": module, "score": score}))
                 fh.write("\n")
 
 

@@ -221,9 +221,9 @@ def test_alpha_zero_equals_baseline_ranking():
         norm_smell = normalize(smell_values(system.modules, system.smells, config))
         for bug in system.bug_ids:
             raw = scores.by_bug[bug]
-            baseline = [m for m, _ in rank(raw, bug).entries]
+            baseline = [m for m, _ in rank(raw)]
             blended = blend(normalize(raw), norm_smell, 0.0)
-            reranked = [m for m, _ in rank(blended, bug).entries]
+            reranked = [m for m, _ in rank(blended)]
             if baseline != reranked:
                 failures += 1
     _verdict(

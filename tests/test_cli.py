@@ -1603,6 +1603,39 @@ class TestCommonFlags:
         run_config.write_text(json.dumps({"format": "csv"}))
         assert main(argv + ["--run-config", str(run_config), "--out", str(out)]) == 0
 
+    @staticmethod
+    def _manifest(out):
+        sidecar = Path(f"{out}.manifest.json")
+        return _read_json(sidecar) if sidecar.exists() else _read_json(out)["manifest"]
+
+    @pytest.mark.parametrize("command", ["index", "rank", "combine", "evaluate",
+                                         "risk", "config-search", "convert"])
+    def test_manifest_hashes_the_run_config(self, java_system, tmp_path, command):
+        argv = self._argv(java_system, tmp_path, command)
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"jobs": 1}))
+        out = tmp_path / "out"
+        assert main(argv + ["--run-config", str(run_config), "--out", str(out)]) == 0
+        want = hashlib.sha256(run_config.read_bytes()).hexdigest()
+        assert self._manifest(out)["config_hash"] == want
+
+    @pytest.mark.parametrize("command", ["combine", "config-search"])
+    def test_manifest_hashes_the_selectors(self, java_system, tmp_path, command):
+        selectors = tmp_path / "selectors.json"
+        selectors.write_text(json.dumps({
+            "s2": ["Blob Class", "God Class"], "s3": ["Blob Class"],
+            "s4": ["God Class"], "s5": ["Blob Class", "God Class", "Feature Envy"],
+        }))
+        argv = self._argv(java_system, tmp_path, command)
+        if command == "combine":
+            argv += ["--config", "g1,a1,s2"]
+        out = tmp_path / "out"
+        assert main(argv + ["--selectors", str(selectors), "--out", str(out)]) == 0
+        assert self._manifest(out)["inputs"]["selectors"] == {
+            "path": str(selectors),
+            "sha256": hashlib.sha256(selectors.read_bytes()).hexdigest(),
+        }
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -375,8 +375,9 @@ def _hex(stats):
 
 
 def _exact_sweep(system, scores, norm_smell):
-    modules = sorted(system.modules)
-    return _sweep_stats(_reports(system, scores), [norm_smell[m] for m in modules])
+    modules = tuple(sorted(system.modules))
+    reports = _reports(system, scores, modules)
+    return _sweep_stats(reports, [norm_smell[m] for m in modules])
 
 
 _POOL = (0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.1, 0.2, 0.3, 0.7, 0.9, 5e-324)
@@ -498,8 +499,8 @@ class TestSegmentMemo:
         configs = enumerate_configs(TRIVIAL_SELECTORS)
         for trial in range(2):
             system, scores = random_system(rng, name=f"s{trial}")
-            reports = _reports(system, scores)
-            modules = sorted(system.modules)
+            modules = tuple(sorted(system.modules))
+            reports = _reports(system, scores, modules)
             for config in rng.sample(configs, 10):
                 norm_smell = _norm_smell(system, config)
                 smell_vec = [norm_smell[m] for m in modules]
@@ -515,8 +516,8 @@ class TestSegmentMemo:
         configs = tuple(enumerate_configs(TRIVIAL_SELECTORS)[::7])
         for trial in range(2):
             system, scores = random_system(rng, name=f"s{trial}", ensure_smells=True)
-            reports = _reports(system, scores)
             modules = tuple(sorted(system.modules))
+            reports = _reports(system, scores, modules)
             distinct, index = _system_task((system, scores, configs))
             for config, d in zip(configs, index):
                 norm_smell = normalize(smell_values(modules, system.smells, config))
@@ -570,8 +571,8 @@ class TestExactSweep:
         configs = enumerate_configs(TRIVIAL_SELECTORS)
         for trial in range(30):
             system, scores = random_system(rng, name=f"s{trial}")
-            reports = _reports(system, scores)
-            modules = sorted(system.modules)
+            modules = tuple(sorted(system.modules))
+            reports = _reports(system, scores, modules)
             for config in rng.sample(configs, 5):
                 norm_smell = _norm_smell(system, config)
                 smell_vec = [norm_smell[m] for m in modules]
@@ -583,8 +584,9 @@ class TestExactSweep:
     @given(_adversarial_universe())
     def test_matches_column_pooling_oracle_on_adversarial_universes(self, universe):
         system, scores, norm_smell = universe
-        reports = _reports(system, scores)
-        smell_vec = [norm_smell[m] for m in sorted(system.modules)]
+        modules = tuple(sorted(system.modules))
+        reports = _reports(system, scores, modules)
+        smell_vec = [norm_smell[m] for m in modules]
         assert _hex(_sweep_stats(reports, smell_vec)) == _hex(
             sweep_stats_by_columns(reports, smell_vec)
         )

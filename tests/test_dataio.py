@@ -30,7 +30,6 @@ from smelloc.dataset import (
     load_descriptor,
     validate_ranking,
 )
-from smelloc.index import ScoredRanking
 from smelloc.smells import SMELL_TYPE_BY_NAME, SmellInstance
 
 from _oracles import load_external_scores_by_json_loads, write_score_lines_by_json_dumps
@@ -378,10 +377,7 @@ class TestScoreDumpsAgainstOracles:
         )
     )
     def test_writer_bytes_match_oracle(self, tmp_path_factory, raw):
-        rankings = [
-            ScoredRanking(bug_id=bug, technique="t", entries=tuple(scores.items()))
-            for bug, scores in raw
-        ]
+        rankings = [(bug, tuple(scores.items())) for bug, scores in raw]
         work = tmp_path_factory.mktemp("write")
         write_score_lines(work / "new.jsonl", rankings)
         write_score_lines_by_json_dumps(work / "old.jsonl", rankings)
@@ -572,11 +568,7 @@ class TestBulkScoreReader:
         # At least 1,200 lines of 58 characters or more: every dump spans
         # blocks, so lines straddle their boundaries.
         modules = [f"{prefix}/Module{i:05d}.java" for i in range(count)]
-        rankings = [
-            ScoredRanking(bug_id=bug, technique="t",
-                          entries=tuple(zip(modules, itertools.cycle(scores))))
-            for bug in bugs
-        ]
+        rankings = [(bug, tuple(zip(modules, itertools.cycle(scores)))) for bug in bugs]
         path = tmp_path_factory.mktemp("blocks") / "scores.jsonl"
         write_score_lines(path, rankings)
         data = path.read_bytes()
@@ -594,18 +586,15 @@ class TestBulkScoreReader:
 
     def test_writer_dump_never_reaches_the_line_decoder(self, tmp_path, monkeypatch, caplog):
         modules = [f"org/app/m{i}/Module{i}.java" for i in range(1500)]
-        rankings = [
-            ScoredRanking(bug_id=bug, technique="t",
-                          entries=tuple((m, 1 / (i + 1)) for i, m in enumerate(modules)))
-            for bug in ("B-1", "ghost", "B-2")
-        ]
+        entries = tuple((m, 1 / (i + 1)) for i, m in enumerate(modules))
+        rankings = [(bug, entries) for bug in ("B-1", "ghost", "B-2")]
         path = tmp_path / "scores.jsonl"
         write_score_lines(path, rankings)
         _refuse_decodes(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="smelloc.dataio"):
             scores = load_external_scores(path, "t", known_bugs=["B-1", "B-2"])
         assert list(scores.by_bug) == ["B-1", "ghost", "B-2"]
-        assert list(scores.by_bug["B-2"].items()) == list(rankings[2].entries)
+        assert list(scores.by_bug["B-2"].items()) == list(entries)
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}:1501: score for unknown bug id 'ghost'"
         ]
@@ -739,7 +728,7 @@ class TestDescriptorAndSystem:
 
     def test_load_system(self, java_system):
         snapshot = load_system(load_descriptor(java_system["descriptor"]))
-        assert snapshot.name == "demo-1.0"
+        assert snapshot.descriptor.name == "demo-1.0"
         assert set(snapshot.modules) == set(JAVA_SNAPSHOT)
         assert len(snapshot.reports) == 5
         assert len(snapshot.smells) == 4
@@ -804,7 +793,7 @@ class TestPrepareSystem:
         system, scores = prepare_system(snapshot, "vsm")
         assert isinstance(system, combine.System)
         assert isinstance(scores, combine.TechniqueScores)
-        assert system.name == snapshot.name
+        assert system.name == snapshot.descriptor.name
         assert system.bug_ids == tuple(r.id for r in snapshot.reports)
         assert system.gold == {r.id: r.gold for r in snapshot.reports}
         assert system.smells == snapshot.smells

@@ -96,21 +96,24 @@ class TestBuildIndex:
         assert _vector(idx, "d2")[g] == pytest.approx(_hand_weight(1, 3, 2), abs=1e-12)
         assert _vector(idx, "d3")[g] == pytest.approx(_hand_weight(4, 3, 2), abs=1e-12)
         assert idx.postings == {a: [0], b: [0, 1], g: [1, 2]}
-        assert idx.doc_terms == [[a, b], [b, g], [g]]
+        assert [set(_vector(idx, d)) for d in idx.doc_ids] == [{a, b}, {b, g}, {g}]
         norm = math.sqrt(
             _hand_weight(2, 3, 1) ** 2 + _hand_weight(1, 3, 2) ** 2
         )
         assert idx.doc_norms[0] == pytest.approx(norm, abs=1e-12)
         assert idx.doc_lengths == {"d1": 3, "d2": 2, "d3": 4}
 
-    def test_zero_weights_are_not_stored(self):
+    def test_zero_weights_are_not_stored(self, tmp_path):
         # One document: every term has df == N, so idf and the weights are 0.
-        idx = build_index([_doc("d1", "alpha", "beta", "beta")])
+        corpus = [_doc("d1", "alpha", "beta", "beta")]
+        idx = build_index(corpus)
         assert _vector(idx, "d1") == {}
         assert idx.doc_norms == [0.0]
         assert idx.postings == {}
         assert idx.weights == {}
-        assert idx.doc_terms == [[]]
+        cache = tmp_path / "cache.json"
+        save_index(idx, cache, corpus_hash(corpus), corpus)
+        assert json.loads(cache.read_text(encoding="utf-8"))["doc_vectors"] == {"d1": {}}
         scores = cosine_score(_doc("q", "alpha"), idx)
         assert scores == {"d1": 0.0}
 
@@ -265,7 +268,7 @@ class TestAgainstVectorOracle:
         oracle = build_vector_index(corpus)
         with tempfile.TemporaryDirectory() as tmp:
             ours, theirs = Path(tmp, "ours.json"), Path(tmp, "theirs.json")
-            save_index(built, ours, digest)
+            save_index(built, ours, digest, corpus)
             save_vector_index(oracle, theirs, digest)
             assert ours.read_bytes() == theirs.read_bytes()
             loaded = load_index(ours, digest)
@@ -283,13 +286,8 @@ class TestAgainstVectorOracle:
 
 class TestRank:
     def test_orders_by_score_then_id(self):
-        ranking = rank(
-            {"b": 1.0, "a": 1.0, "c": 0.5, "d": 2.0}, bug_id="B-1", technique="vsm"
-        )
-        assert ranking.modules() == ("d", "a", "b", "c")
-        assert ranking.bug_id == "B-1"
-        assert ranking.technique == "vsm"
-        assert ranking.entries[0] == ("d", 2.0)
+        ranking = rank({"b": 1.0, "a": 1.0, "c": 0.5, "d": 2.0})
+        assert ranking == (("d", 2.0), ("a", 1.0), ("b", 1.0), ("c", 0.5))
 
     def test_rejects_non_finite_scores(self):
         with pytest.raises(ValueError, match="invalid score for module"):
@@ -298,7 +296,7 @@ class TestRank:
             rank({"a": float("inf")})
 
     def test_empty_scores_allowed(self):
-        assert rank({}).entries == ()
+        assert rank({}) == ()
 
 
 class TestCache:
@@ -311,7 +309,7 @@ class TestCache:
         idx = build_index(corpus)
         digest = corpus_hash(corpus)
         path = tmp_path / "cache.json"
-        save_index(idx, path, digest)
+        save_index(idx, path, digest, corpus)
         loaded = load_index(path, digest)
         assert loaded.vocabulary == idx.vocabulary
         assert loaded.doc_freq == idx.doc_freq
@@ -319,7 +317,7 @@ class TestCache:
         assert all(_vector(loaded, d) == _vector(idx, d) for d in idx.doc_ids)
         assert loaded.doc_lengths == idx.doc_lengths
         assert loaded.doc_norms == idx.doc_norms
-        assert loaded.doc_terms == idx.doc_terms
+        assert loaded.postings == idx.postings
 
         def hexed(index):
             norms = [(doc_id, n.hex()) for doc_id, n in zip(index.doc_ids, index.doc_norms)]
@@ -334,6 +332,10 @@ class TestCache:
         query = _doc("q", *corpus[0].tokens[:4])
         assert cosine_score(query, loaded) == cosine_score(query, idx)
         assert rvsm_score(query, loaded) == rvsm_score(query, idx)
+        # A loaded index saves back to the same bytes.
+        again = tmp_path / "again.json"
+        save_index(loaded, again, digest, corpus)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_cache_bytes_equal_the_json_dump_oracle(self, tmp_path):
         # save_index writes the payload in parts, each through json.dumps (the
@@ -344,7 +346,7 @@ class TestCache:
         ]
         digest = corpus_hash(corpus)
         ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
-        save_index(build_index(corpus), ours, digest)
+        save_index(build_index(corpus), ours, digest, corpus)
         save_vector_index(build_vector_index(corpus), theirs, digest)
         assert ours.read_bytes() == theirs.read_bytes()
 
@@ -352,10 +354,25 @@ class TestCache:
         corpus = self._corpus()
         idx = build_index(corpus)
         path = tmp_path / "cache.json"
-        save_index(idx, path, corpus_hash(corpus))
+        save_index(idx, path, corpus_hash(corpus), corpus)
         changed = corpus + [_doc("extra", "omega")]
         with pytest.raises(ValueError, match="stale index cache"):
             load_index(path, corpus_hash(changed))
+
+    @pytest.mark.parametrize("change", ["other-id", "reordered", "one-fewer", "one-more"])
+    def test_save_rejects_another_corpus(self, tmp_path, change):
+        corpus = self._corpus()
+        idx = build_index(corpus)
+        other = {
+            "other-id": [_doc("other", *corpus[0].tokens)] + corpus[1:],
+            "reordered": corpus[1:] + corpus[:1],
+            "one-fewer": corpus[:-1],
+            "one-more": corpus + [_doc("extra", "omega")],
+        }[change]
+        path = tmp_path / "cache.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            save_index(idx, path, corpus_hash(corpus), other)
+        assert not path.exists()
 
     def test_unrecognized_cache_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -398,7 +415,7 @@ class TestCache:
     def test_inconsistent_cache_rejected(self, tmp_path, shape):
         corpus = self._corpus()
         path = tmp_path / "cache.json"
-        save_index(build_index(corpus), path, corpus_hash(corpus))
+        save_index(build_index(corpus), path, corpus_hash(corpus), corpus)
         payload = json.loads(path.read_text(encoding="utf-8"))
         self.MUTATIONS[shape](payload, *self._first(payload))
         path.write_text(json.dumps(payload), encoding="utf-8")
