@@ -29,7 +29,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         help="worker processes for config-search's per-system sweeps (default 1)",
     )
     common.add_argument(
@@ -77,15 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selectors", help="selector-set JSON from the risk command")
     p.add_argument("--alpha", type=float)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--metric", choices=STAT_METRICS)
-    p.add_argument("--format", choices=("csv", "json"), help="default csv")
+    p.add_argument("--metric", choices=STAT_METRICS, default="map")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", parents=[common], help="score rankings against gold sets")
     p.add_argument("--rankings", required=True)
     p.add_argument("--bugs", required=True)
     p.add_argument("--compare", help="baseline ranking dump for paired statistics")
-    p.add_argument("--format", choices=("csv", "json"), help="default json")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("risk", parents=[common], help="relative-risk table and selectors")
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--technique", required=True)
     p.add_argument("--selectors", help="selector-set JSON (default: derived from the data)")
     p.add_argument("--include-single-type", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), help="default csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser(
@@ -184,13 +184,17 @@ def _apply_run_config(
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.run_config:
             args = _apply_run_config(parser, args, argv)
-        if args.jobs is not None and args.jobs < 1:
+        if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
+        # The manifest records the command line parsed here, however main
+        # was called.
+        args.argv = argv
         log.configure(args.verbose)
         command = import_module(
             f".commands.{args.command.replace('-', '_')}", __package__

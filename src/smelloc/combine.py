@@ -166,7 +166,6 @@ def _reports(
     system: System, scores: TechniqueScores, modules: tuple[str, ...]
 ) -> list[_Report]:
     """Normalize every bug report's scores once over modules, the sorted universe."""
-    universe = set(modules)
     reports = []
     for bug_id in system.bug_ids:
         raw = scores.by_bug.get(bug_id, {})
@@ -183,7 +182,7 @@ def _reports(
                 scores=tuple(norm_score[m] for m in modules),
                 gold=gold_idx,
                 # Gold modules the universe lacks still dilute precision.
-                gold_count=len(gold_idx) + len(gold - universe),
+                gold_count=len(gold),
             )
         )
     return reports
@@ -542,6 +541,11 @@ def config_search(
         raise ValueError("no systems to search")
     if not configs:
         raise ValueError("no configurations to search")
+    system_names = tuple(system.name for system, _ in systems)
+    for i, name in enumerate(system_names):
+        if name in system_names[:i]:
+            # Rows are keyed by system name and would pool one of the two.
+            raise ValueError(f"system {name} is listed more than once")
     technique = systems[0][1].technique
     tasks = [(system, scores, tuple(configs)) for system, scores in systems]
     if jobs > 1 and len(tasks) > 1:
@@ -552,7 +556,6 @@ def config_search(
     else:
         per_system = [_system_task(task) for task in tasks]
 
-    system_names = tuple(system.name for system, _ in systems)
     # Per system, the best of every metric for each configuration, computed
     # once per distinct stats list.
     best: list[list[dict[str, AlphaSweepResult]]] = []

@@ -1,10 +1,11 @@
 """The bodies of the CLI's commands, one module each, and their helpers.
 
 ``cli.main`` parses the command line and imports only the module of the
-command it runs, whose ``run(args)`` returns the exit code. A command
-module never imports ``smelloc.cli``: run as ``python -m smelloc.cli``,
-that module is ``__main__``, and importing it by name would compile it a
-second time. Functions that a tracer may wrap (layer boundaries such as
+command it runs, whose ``run(args)`` returns the exit code; ``args.argv``
+is the command line ``main`` parsed. A command module never imports
+``smelloc.cli``: run as ``python -m smelloc.cli``, that module is
+``__main__``, and importing it by name would compile it a second time.
+Functions that a tracer may wrap (layer boundaries such as
 ``index.load_index``) are called through their module at call time, never
 through a name bound when the command module was imported.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .. import manifest
 from ..log import get_logger
 from ..stopwords import DEFAULT_STOPWORDS, load_stopwords, read_json
 
@@ -30,6 +32,24 @@ class UsageError(ValueError):
 
 def fmt(value: float) -> str:
     return f"{value:.4f}"
+
+
+def run_manifest(args, inputs, notes=()) -> dict:
+    """The run's manifest: the command line main parsed, the run config's
+    hash, and the inputs hashed now. A command builds it before it writes
+    any output, so an input that is also --out is recorded as it was read."""
+    return manifest.build_manifest(
+        args.argv, inputs, config_path=args.run_config, notes=notes
+    )
+
+
+def write_csv(path, rows, provenance: dict) -> None:
+    """Write rows as a CSV report and the run's manifest as its sidecar."""
+    import csv
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    manifest.write_sidecar_manifest(path, provenance)
 
 
 def stopword_set(args) -> frozenset[str]:

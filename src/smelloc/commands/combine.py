@@ -3,10 +3,8 @@ over the whole alpha grid."""
 
 from __future__ import annotations
 
-import sys
-
 from .. import combine, dataio, index, manifest, smells
-from . import UsageError, fmt, load_selectors, logger, require_file
+from . import UsageError, fmt, load_selectors, logger, require_file, run_manifest, write_csv
 
 
 def _inputs(args):
@@ -51,14 +49,12 @@ def run(args) -> int:
         inputs["bugs"] = args.bugs
     if args.selectors:
         inputs["selectors"] = args.selectors
-    run_manifest = manifest.build_manifest(
-        sys.argv[1:], inputs, config_path=args.run_config, notes=notes
-    )
+    provenance = run_manifest(args, inputs, notes)
 
     if args.sweep:
         if not args.bugs:
             raise UsageError("--sweep needs --bugs for the gold sets")
-        metric = args.metric or "map"
+        metric = args.metric
         bug_ids = tuple(r.id for r in reports if r.id in scores.by_bug)
         if not bug_ids:
             raise UsageError("no bug report in --bugs has scores")
@@ -96,16 +92,10 @@ def run(args) -> int:
                 "best_value": result.best_value,
                 "shape": shape,
             }
-            manifest.write_json_report(payload, args.out, run_manifest)
+            manifest.write_json_report(payload, args.out, provenance)
         else:
-            import csv
-
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["alpha", metric])
-                for alpha, value in zip(combine.ALPHA_GRID, result.values):
-                    writer.writerow([fmt(alpha), fmt(value)])
-            manifest.write_sidecar_manifest(args.out, run_manifest)
+            rows = [(fmt(a), fmt(v)) for a, v in zip(combine.ALPHA_GRID, result.values)]
+            write_csv(args.out, [("alpha", metric), *rows], provenance)
         print(
             f"swept {config.label()} on {metric}: best {fmt(result.best_value)} "
             f"at alpha {fmt(combine.optimize_alpha(result))} ({shape})"
@@ -127,6 +117,6 @@ def run(args) -> int:
         blended = combine.blend(norm_score, norm_smell, alpha)
         rankings.append((bug_id, index.rank(blended)))
     dataio.write_score_lines(args.out, rankings)
-    manifest.write_sidecar_manifest(args.out, run_manifest)
+    manifest.write_sidecar_manifest(args.out, provenance)
     print(f"blended {len(rankings)} rankings at alpha {alpha:g} -> {args.out}")
     return 0

@@ -3,11 +3,10 @@ of systems."""
 
 from __future__ import annotations
 
-import sys
-
 from .. import combine, dataio, dataset, manifest, risk
 from ..smells import SELECTOR_NAMES
 from . import STAT_METRICS, UsageError, fmt, load_selectors, logger, require_file
+from . import run_manifest, write_csv
 
 
 def run(args) -> int:
@@ -37,14 +36,12 @@ def run(args) -> int:
     configs = combine.enumerate_configs(
         selectors, include_single_type=args.include_single_type
     )
-    report = combine.config_search(kept, configs, jobs=args.jobs or 1)
+    report = combine.config_search(kept, configs, jobs=args.jobs)
 
     inputs = {f"descriptor{i}": path for i, path in enumerate(args.systems)}
     if args.selectors:
         inputs["selectors"] = args.selectors
-    run_manifest = manifest.build_manifest(
-        sys.argv[1:], inputs, config_path=args.run_config
-    )
+    provenance = run_manifest(args, inputs)
     if args.format == "json":
         payload = {
             "technique": report.technique,
@@ -83,25 +80,24 @@ def run(args) -> int:
             },
             "validation": validation.to_json_dict(),
         }
-        manifest.write_json_report(payload, args.out, run_manifest)
+        manifest.write_json_report(payload, args.out, provenance)
     else:
-        import csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["config", *STAT_METRICS, "#systems", "original"])
-            for row in report.rows:
-                writer.writerow(
-                    [row.config.label()]
-                    + [fmt(row.values[m]) for m in STAT_METRICS]
-                    + [row.systems_improved, "yes" if row.original_index else ""]
-                )
-            writer.writerow(
-                ["(ideal)"]
-                + [fmt(report.ideal[m]) for m in STAT_METRICS]
-                + [report.ideal_systems_improved, ""]
-            )
-        manifest.write_sidecar_manifest(args.out, run_manifest)
+        rows = [
+            [row.config.label()]
+            + [fmt(row.values[m]) for m in STAT_METRICS]
+            + [row.systems_improved, "yes" if row.original_index else ""]
+            for row in report.rows
+        ]
+        ideal = [fmt(report.ideal[m]) for m in STAT_METRICS]
+        write_csv(
+            args.out,
+            [
+                ["config", *STAT_METRICS, "#systems", "original"],
+                *rows,
+                ["(ideal)", *ideal, report.ideal_systems_improved, ""],
+            ],
+            provenance,
+        )
     best = report.rows[0]
     print(
         f"searched {len(configs)} configurations over {len(kept)} systems: "

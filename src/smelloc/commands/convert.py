@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-import sys
 import xml.etree.ElementTree as ElementTree
 
 from .. import manifest
-from . import UsageError, logger, require_file
+from . import UsageError, logger, require_file, run_manifest
 
 
 def run(args) -> int:
@@ -51,14 +50,10 @@ def run(args) -> int:
         )
     if not records:
         raise UsageError(f"{path}: no convertible bug entries found")
+    provenance = run_manifest(args, {"bugrepo": args.bugrepo})
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
-    manifest.write_sidecar_manifest(
-        args.out,
-        manifest.build_manifest(
-            sys.argv[1:], {"bugrepo": args.bugrepo}, config_path=args.run_config
-        ),
-    )
+    manifest.write_sidecar_manifest(args.out, provenance)
     print(f"converted {len(records)} bug reports -> {args.out}")
     return 0

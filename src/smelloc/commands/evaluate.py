@@ -3,11 +3,10 @@ optionally compare it with a baseline dump."""
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 from .. import dataio, index, manifest, metrics
-from . import STAT_METRICS, UsageError, fmt, require_file
+from . import STAT_METRICS, UsageError, fmt, require_file, run_manifest, write_csv
 
 
 def _outcomes_from_dump(path: Path, reports) -> list:
@@ -44,10 +43,8 @@ def run(args) -> int:
             )
             for metric in STAT_METRICS
         }
-    run_manifest = manifest.build_manifest(
-        sys.argv[1:], inputs, config_path=args.run_config
-    )
-    if args.format in (None, "json"):
+    provenance = run_manifest(args, inputs)
+    if args.format == "json":
         payload = {
             "reports": len(outcomes),
             "top": {str(n): report.top[n] for n in sorted(report.top)},
@@ -66,31 +63,24 @@ def run(args) -> int:
         }
         if comparison is not None:
             payload["comparison"] = comparison
-        manifest.write_json_report(payload, args.out, run_manifest)
+        manifest.write_json_report(payload, args.out, provenance)
     else:
-        import csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value", "count"])
-            for n in sorted(report.top):
-                writer.writerow([f"top{n}", fmt(report.top[n]), report.counts[n]])
-            writer.writerow(["mrr", fmt(report.mrr), ""])
-            writer.writerow(["map", fmt(report.mean_ap), ""])
-            if comparison is not None:
-                writer.writerow([])
-                writer.writerow(["metric", "p_value", "cliffs_delta", "label", "note"])
-                for metric, block in comparison.items():
-                    writer.writerow(
-                        [
-                            metric,
-                            fmt(block["p_value"]) if block["p_value"] is not None else "",
-                            fmt(block["cliffs_delta"]),
-                            block["label"],
-                            block.get("note", ""),
-                        ]
-                    )
-        manifest.write_sidecar_manifest(args.out, run_manifest)
+        rows = [["metric", "value", "count"]]
+        rows += [[f"top{n}", fmt(report.top[n]), report.counts[n]] for n in sorted(report.top)]
+        rows += [["mrr", fmt(report.mrr), ""], ["map", fmt(report.mean_ap), ""]]
+        if comparison is not None:
+            rows += [[], ["metric", "p_value", "cliffs_delta", "label", "note"]]
+            rows += [
+                [
+                    metric,
+                    fmt(block["p_value"]) if block["p_value"] is not None else "",
+                    fmt(block["cliffs_delta"]),
+                    block["label"],
+                    block.get("note", ""),
+                ]
+                for metric, block in comparison.items()
+            ]
+        write_csv(args.out, rows, provenance)
     print(
         f"evaluated {len(outcomes)} reports: map {fmt(report.mean_ap)}, "
         f"mrr {fmt(report.mrr)} -> {args.out}"

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import sys
-
 from .. import corpus, index, manifest
-from . import UsageError, require_dir, stopword_set
+from . import UsageError, require_dir, run_manifest, stopword_set
 
 
 def run(args) -> int:
@@ -17,14 +15,9 @@ def run(args) -> int:
         raise UsageError(f"no source files under {snapshot}")
     term_index = index.build_index(documents)
     digest = index.corpus_hash(documents)
+    provenance = run_manifest(args, {}, (f"corpus sha256 {digest}",))
     index.save_index(term_index, args.out, digest, documents)
-    manifest.write_sidecar_manifest(
-        args.out,
-        manifest.build_manifest(
-            sys.argv[1:], {}, config_path=args.run_config,
-            notes=(f"corpus sha256 {digest}",),
-        ),
-    )
+    manifest.write_sidecar_manifest(args.out, provenance)
     print(
         f"indexed {term_index.size} documents, "
         f"{len(term_index.vocabulary)} terms -> {args.out}"

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import sys
-
 from .. import dataio, index, manifest
-from . import UsageError, require_dir, require_file, stopword_set
+from . import UsageError, require_dir, require_file, run_manifest, stopword_set
 
 
 def _term_index(args, stopwords: frozenset[str]) -> index.TermIndex:
@@ -70,10 +68,8 @@ def run(args) -> int:
         raise UsageError(
             f"unknown technique {technique!r} (use vsm, rvsm, or external:<name>)"
         )
+    provenance = run_manifest(args, inputs)
     dataio.write_score_lines(args.out, rankings)
-    manifest.write_sidecar_manifest(
-        args.out,
-        manifest.build_manifest(sys.argv[1:], inputs, config_path=args.run_config),
-    )
+    manifest.write_sidecar_manifest(args.out, provenance)
     print(f"wrote {len(rankings)} rankings -> {args.out}")
     return 0

@@ -3,11 +3,9 @@ sets derived from it."""
 
 from __future__ import annotations
 
-import sys
-
 from .. import dataio, manifest, risk
 from ..stopwords import read_utf8
-from . import UsageError, fmt, logger, require_dir, require_file
+from . import UsageError, fmt, logger, require_dir, require_file, run_manifest
 
 
 def run(args) -> int:
@@ -51,7 +49,6 @@ def run(args) -> int:
         raise UsageError("no smell instance lies inside the module universe")
 
     table = risk.relative_risk(universe, buggy, kept_smells)
-    risk.write_risk_csv(table, args.out)
     inputs = {"smells": args.smells}
     notes = []
     if args.modules:
@@ -60,16 +57,15 @@ def run(args) -> int:
         notes.append(f"universe from snapshot {universe_input}")
     for i, path in enumerate(args.bugs):
         inputs[f"bugs{i}" if len(args.bugs) > 1 else "bugs"] = path
-    run_manifest = manifest.build_manifest(
-        sys.argv[1:], inputs, config_path=args.run_config, notes=notes
-    )
-    manifest.write_sidecar_manifest(args.out, run_manifest)
+    provenance = run_manifest(args, inputs, notes)
+    risk.write_risk_csv(table, args.out)
+    manifest.write_sidecar_manifest(args.out, provenance)
     selectors = risk.derive_selectors(table)
     if args.selectors_out:
         manifest.write_json_report(
             {name: sorted(types) for name, types in selectors.items()},
             args.selectors_out,
-            run_manifest,
+            provenance,
         )
     total = table.total
     print(

@@ -392,6 +392,15 @@ class TestCombineCommand:
         assert (tmp_path / "sweep.csv.manifest.json").exists()
         assert "swept g1,a1,s1 on map" in capsys.readouterr().out
 
+    def test_sweep_defaults_to_map_in_csv(self, hbase_fixture, tmp_path):
+        out = tmp_path / "sweep.out"
+        rc = main(["combine", "--scores", str(hbase_fixture["scores"]),
+                   "--smells", str(hbase_fixture["smells"]),
+                   "--bugs", str(hbase_fixture["bugs"]), "--sweep", "--out", str(out)])
+        assert rc == 0
+        assert _read_csv(out)[0] == ["alpha", "map"]
+        assert Path(f"{out}.manifest.json").exists()
+
     def test_sweep_json_embeds_manifest(self, hbase_fixture, tmp_path):
         out = tmp_path / "sweep.json"
         rc = main(
@@ -937,6 +946,20 @@ class TestConfigSearchCommand:
             "excluded_systems": [],
         }
         assert payload["manifest"]["inputs"]["descriptor0"]["sha256"]
+
+    def test_repeated_system_exits_2(self, java_system, tmp_path, capsys):
+        # A second descriptor of the same project and version names the same
+        # system; its rows and the ideal would pool different reports.
+        copy = write_java_system(tmp_path / "copy")
+        out = tmp_path / "search.csv"
+        rc = main(["config-search", "--systems", str(java_system["descriptor"]),
+                   str(copy["descriptor"]), "--technique", "rvsm", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: system demo-1.0 is listed more than once\n"
+        )
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
 
     def test_parallel_matches_serial(self, java_system, tmp_path):
         serial = tmp_path / "serial.csv"
@@ -1610,14 +1633,44 @@ class TestCommonFlags:
 
     @pytest.mark.parametrize("command", ["index", "rank", "combine", "evaluate",
                                          "risk", "config-search", "convert"])
-    def test_manifest_hashes_the_run_config(self, java_system, tmp_path, command):
+    def test_manifest_hashes_the_run_config(
+        self, java_system, tmp_path, monkeypatch, command
+    ):
+        # The manifest records the argv main parsed, not the host process's.
+        monkeypatch.setattr(sys, "argv", ["host", "extra-arg-from-host"])
         argv = self._argv(java_system, tmp_path, command)
         run_config = tmp_path / "run.json"
         run_config.write_text(json.dumps({"jobs": 1}))
         out = tmp_path / "out"
-        assert main(argv + ["--run-config", str(run_config), "--out", str(out)]) == 0
+        argv += ["--run-config", str(run_config), "--out", str(out)]
+        assert main(argv) == 0
         want = hashlib.sha256(run_config.read_bytes()).hexdigest()
         assert self._manifest(out)["config_hash"] == want
+        assert self._manifest(out)["command"] == argv
+
+    def test_manifest_records_the_process_argv_by_default(
+        self, java_system, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        argv = self._argv(java_system, tmp_path, "convert") + ["--out", str(out)]
+        monkeypatch.setattr(sys, "argv", ["smelloc", *argv])
+        assert main() == 0
+        assert self._manifest(out)["command"] == argv
+
+    @pytest.mark.parametrize("command,flag", [("rank", "--scores"), ("convert", "--bugrepo")])
+    def test_manifest_hashes_an_input_before_it_is_overwritten(
+        self, java_system, tmp_path, command, flag
+    ):
+        # --out names the input, so the command overwrites the file it read.
+        argv = self._argv(java_system, tmp_path, "convert")  # writes scores.jsonl too
+        if command == "rank":
+            argv = ["rank", "--technique", "external:x", "--bugs",
+                    str(java_system["bugs"]), "--scores", str(tmp_path / "scores.jsonl")]
+        path = Path(argv[argv.index(flag) + 1])
+        read = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert main(argv + ["--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() != read
+        assert self._manifest(path)["inputs"][flag[2:]]["sha256"] == read
 
     @pytest.mark.parametrize("command", ["combine", "config-search"])
     def test_manifest_hashes_the_selectors(self, java_system, tmp_path, command):

@@ -824,6 +824,19 @@ class TestConfigSearch:
                 assert result.best_alphas == row.sweeps[system.name][metric].best_alphas
                 assert result.best_value.hex() == row.values[metric].hex()
 
+    def test_repeated_system_rejected_before_any_sweep(self, monkeypatch):
+        # Rows are keyed by system name, so two systems of one name would
+        # pool one of them in every row but both in the ideal.
+        import smelloc.combine
+
+        def no_sweep(task):
+            raise AssertionError("swept before the systems were checked")
+
+        monkeypatch.setattr(smelloc.combine, "_system_task", no_sweep)
+        sys1, sys2 = self._two_systems()
+        with pytest.raises(ValueError, match="^system sys is listed more than once$"):
+            config_search([sys1, sys2, sys1], [CLASS_ALL])
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="no systems"):
             config_search([], [CLASS_ALL])
