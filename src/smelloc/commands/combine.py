@@ -3,6 +3,8 @@ over the whole alpha grid."""
 
 from __future__ import annotations
 
+import math
+
 from .. import combine, dataio, index, manifest, smells
 from . import UsageError, fmt, load_selectors, logger, require_file, run_manifest, write_csv
 
@@ -107,16 +109,27 @@ def run(args) -> int:
         raise UsageError("pass --alpha for a single blend or --sweep for the grid")
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"--alpha {alpha} outside [0, 1]")
-    norm_smell = combine.normalize(smells.smell_values(universe, instances, config))
-    rankings = []
+    # The rankings are written as they are made, so a bad score must stop
+    # the run before --out is opened; normalize names its module.
     for bug_id, per_bug in scores.by_bug.items():
-        try:
-            norm_score = combine.normalize({m: per_bug.get(m, 0.0) for m in universe})
-        except ValueError as exc:
-            raise UsageError(f"{args.scores}: bug {bug_id!r}: {exc}") from exc
-        blended = combine.blend(norm_score, norm_smell, alpha)
-        rankings.append((bug_id, index.rank(blended)))
+        if not all(map(math.isfinite, per_bug.values())):
+            try:
+                combine.normalize(_filled(per_bug, universe))
+            except ValueError as exc:
+                raise UsageError(f"{args.scores}: bug {bug_id!r}: {exc}") from exc
+    norm_smell = combine.normalize(smells.smell_values(universe, instances, config))
+    rankings = (
+        (bug_id, index.rank(combine.blend(
+            combine.normalize(_filled(per_bug, universe)), norm_smell, alpha
+        )))
+        for bug_id, per_bug in scores.by_bug.items()
+    )
     dataio.write_score_lines(args.out, rankings)
     manifest.write_sidecar_manifest(args.out, provenance)
-    print(f"blended {len(rankings)} rankings at alpha {alpha:g} -> {args.out}")
+    print(f"blended {len(scores.by_bug)} rankings at alpha {alpha:g} -> {args.out}")
     return 0
+
+
+def _filled(per_bug, universe) -> dict[str, float]:
+    """A bug's scores over the whole universe; modules it skips score 0."""
+    return {m: per_bug.get(m, 0.0) for m in universe}

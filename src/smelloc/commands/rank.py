@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .. import dataio, index, manifest
 from . import UsageError, require_dir, require_file, run_manifest, stopword_set
 
@@ -40,12 +42,12 @@ def run(args) -> int:
             raise UsageError(f"bug id {args.bug!r} not found in {args.bugs}")
     if technique in dataio.NATIVE_TECHNIQUES:
         stopwords = stopword_set(args)
-        rankings = [
+        rankings = (
             (bug_id, index.rank(scores))
             for bug_id, scores in dataio.native_scores(
                 _term_index(args, stopwords), reports, technique, stopwords
             )
-        ]
+        )
         inputs = {"bugs": args.bugs}
     elif technique.startswith("external:"):
         name = technique.split(":", 1)[1]
@@ -54,15 +56,19 @@ def run(args) -> int:
         scores = dataio.load_external_scores(
             require_file(args.scores, "scores"), name, known_bugs=known
         )
-        rankings = []
+        # The rankings are written as they are made, so a missing or bad
+        # score must stop the run before --out is opened; rank names its
+        # module.
         for report in reports:
             per_bug = scores.by_bug.get(report.id)
             if per_bug is None:
                 raise UsageError(f"no scores for bug {report.id!r} in {args.scores}")
-            try:
-                rankings.append((report.id, index.rank(per_bug)))
-            except ValueError as exc:
-                raise UsageError(f"{args.scores}: bug {report.id!r}: {exc}") from exc
+            if not all(map(math.isfinite, per_bug.values())):
+                try:
+                    index.rank(per_bug)
+                except ValueError as exc:
+                    raise UsageError(f"{args.scores}: bug {report.id!r}: {exc}") from exc
+        rankings = ((r.id, index.rank(scores.by_bug[r.id])) for r in reports)
         inputs = {"bugs": args.bugs, "scores": args.scores}
     else:
         raise UsageError(
@@ -71,5 +77,5 @@ def run(args) -> int:
     provenance = run_manifest(args, inputs)
     dataio.write_score_lines(args.out, rankings)
     manifest.write_sidecar_manifest(args.out, provenance)
-    print(f"wrote {len(rankings)} rankings -> {args.out}")
+    print(f"wrote {len(reports)} rankings -> {args.out}")
     return 0

@@ -182,7 +182,10 @@ def write_score_lines(
     Each line is the json.dumps of {"bug", "module", "score"}. Each bug id and
     each distinct module id is encoded once, and each score with
     float.__repr__, which is what json.dumps writes for a finite float
-    (``rank`` rejects the others). One write per ranking keeps memory flat.
+    (``rank`` rejects the others). path is opened before the first ranking
+    is drawn, so callers check their inputs first. They pass a generator
+    that makes each ranking as it is written, so one write per ranking keeps
+    memory flat end to end: one ranking is held at a time.
     """
     names: dict[str, str] = {}
     with open(path, "w", encoding="utf-8") as fh:

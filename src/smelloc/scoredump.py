@@ -44,9 +44,11 @@ def read_writer_lines(
 
     One pattern match per block of whole lines replaces a JSON decode per
     line; every line must match, so matches and newlines are equal in count.
+    Each module id is held as one string, whichever bugs score it.
     """
     pattern = re.compile(_WRITER_LINE, re.M)
     by_bug: dict[str, dict[str, float]] = {}
+    names: dict[str, str] = {}  # each module id's first string
     first_lines = []  # (line number, bug) where each bug first appears
     lineno = 0
     rest = ""
@@ -69,10 +71,10 @@ def read_writer_lines(
                 if modules is None:
                     modules = by_bug[bug] = {}
                     first_lines.append((lineno, bug))
-                modules[module] = float(score)
+                modules[names.setdefault(module, module)] = float(score)
     if sum(map(len, by_bug.values())) != lineno:
         return None
-    if re.search(_ESCAPED, "".join(set(by_bug).union(*by_bug.values()))):
+    if re.search(_ESCAPED, "".join(set(by_bug).union(names))):
         return None
     if known is not None:
         for first, bug in first_lines:
@@ -85,8 +87,10 @@ def decode_lines(
     path: str | Path, known: set[str] | None
 ) -> dict[str, dict[str, float]]:
     """The score maps of any dump, one JSON decode per line; the first bad
-    line raises ValueError naming its line number."""
+    line raises ValueError naming its line number. Each module id is held
+    as one string, as in read_writer_lines."""
     by_bug: dict[str, dict[str, float]] = {}
+    names: dict[str, str] = {}
     # Streamed, not read whole: only an error makes the file be read again,
     # to name a bad byte's line.
     with open(path, encoding="utf-8") as fh:
@@ -128,5 +132,5 @@ def decode_lines(
                     f"{path}:{lineno}: duplicate score for bug {bug!r}, "
                     f"module {module!r}"
                 )
-            modules[module] = score
+            modules[names.setdefault(module, module)] = score
     return by_bug

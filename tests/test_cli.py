@@ -1220,6 +1220,70 @@ class TestStrictInputs:
         assert err.endswith(" score for module 'HLog': nan\n"), err
         assert not out.exists()
 
+    @staticmethod
+    def _three_bug_inputs(tmp_path, score_of):
+        """Bugs B-1..B-3 and a dump of the worked example's modules for each
+        bug that score_of(bug, module, value) gives a score, None skipping it."""
+        bug_ids = ["B-1", "B-2", "B-3"]
+        bugs = tmp_path / "bugs.json"
+        bugs.write_text(json.dumps([{"id": b, "summary": "x", "gold": ["Store"]}
+                                    for b in bug_ids]), encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        with open(scores, "w", encoding="utf-8") as fh:
+            for bug in bug_ids:
+                for module, value in HBASE_SCORES.items():
+                    score = score_of(bug, module, value)
+                    if score is not None:
+                        fh.write(json.dumps({"bug": bug, "module": module,
+                                             "score": score}) + "\n")
+        return bugs, scores
+
+    @pytest.mark.parametrize("command", ["rank", "combine-alpha"])
+    def test_non_finite_score_in_last_bug_leaves_no_out(self, hbase_fixture, tmp_path,
+                                                        capsys, command):
+        # The rankings are streamed to --out, so the check must come first.
+        bugs, scores = self._three_bug_inputs(
+            tmp_path,
+            lambda bug, module, value: float("nan") if (bug, module) == ("B-3", "HLog")
+            else value,
+        )
+        argv = {
+            "rank": ["rank", "--technique", "external:x", "--bugs", str(bugs)],
+            "combine-alpha": ["combine", "--smells", str(hbase_fixture["smells"]),
+                              "--alpha", "0.5"],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--scores", str(scores), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scores}: bug 'B-3': "), err
+        assert err.endswith(" score for module 'HLog': nan\n"), err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_rank_last_bug_without_scores_leaves_no_out(self, tmp_path, capsys):
+        bugs, scores = self._three_bug_inputs(
+            tmp_path, lambda bug, module, value: None if bug == "B-3" else value
+        )
+        out = tmp_path / "out"
+        assert main(["rank", "--technique", "external:x", "--bugs", str(bugs),
+                     "--scores", str(scores), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no scores for bug 'B-3' in {scores}\n"
+        assert not list(tmp_path.glob("out*"))
+
+    def test_alpha_blend_warns_once_per_negative_bug(self, hbase_fixture, tmp_path, caplog):
+        _, scores = self._three_bug_inputs(
+            tmp_path, lambda bug, module, value: value - 2.0 if bug != "B-2" else value
+        )
+        out = tmp_path / "out.jsonl"
+        with caplog.at_level(logging.WARNING, logger="smelloc.combine"):
+            assert main(["combine", "--smells", str(hbase_fixture["smells"]),
+                         "--alpha", "0.5", "--scores", str(scores),
+                         "--out", str(out)]) == 0
+        shifts = [r for r in caplog.records if r.name == "smelloc.combine"]
+        assert [r.getMessage() for r in shifts] == [
+            "negative raw scores; shifting minimum -1.675 to zero"
+        ] * 2
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3 * len(HBASE_SCORES)
+
     def test_string_gold_exits_2(self, java_system, tmp_path, capsys):
         bugs = tmp_path / "bugs.json"
         bugs.write_text(
