@@ -4,6 +4,13 @@ Files and reports go through the same pipeline: identifiers are split into
 subtokens, tokens are lowercased, stopwords and noise dropped, and survivors
 stemmed. Source files are treated as plain text, so comments and string
 literals contribute tokens too.
+
+Normalizing is memoized for the life of the process and never evicted: one
+memo per stopword set maps each raw subtoken seen to its normalized token,
+or to "" when it is dropped, and one memo shared by every stopword set maps
+each token stemmed to its stem fixpoint. A memo hit runs no Python code, so
+a snapshot costs one lookup per subtoken plus the work for its distinct
+subtokens.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ class TokenDocument(NamedTuple):
     tokens: tuple[str, ...]
 
 
-_SUBTOKEN = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
+# A capital starts a word, an acronym that stops before the capital of the
+# next word, or a trailing acronym; this order reaches a lowercase run
+# without first trying the acronym lookahead.
+_SUBTOKEN = re.compile(r"[a-z]+|[A-Z](?:[a-z]+|[A-Z]*(?=[A-Z][a-z])|[A-Z]*)|[0-9]+")
 
 
 def split_identifiers(text: str) -> list[str]:
@@ -81,6 +91,30 @@ def _keep(token: str, stopwords: frozenset[str]) -> bool:
     return len(token) > 1 and token not in stopwords and not token.isdigit()
 
 
+class _Normalized(dict):
+    """Raw subtoken -> its normalized token, or "" when normalizing drops it,
+    for one stopword set; a missing subtoken is normalized and stored."""
+
+    __slots__ = ("stopwords",)
+
+    def __init__(self, stopwords: frozenset[str]):
+        self.stopwords = stopwords
+
+    def __missing__(self, raw: str) -> str:
+        token = raw.lower()
+        stem = ""
+        if _keep(token, self.stopwords):
+            stem = _stem_fixpoint(token)
+            if stem != token and not _keep(stem, self.stopwords):
+                stem = ""
+        self[raw] = stem
+        return stem
+
+
+# Stopword set -> its memo. An equal set built elsewhere finds the same memo.
+_NORMALIZED: dict[frozenset[str], _Normalized] = {}
+
+
 def normalize_tokens(
     tokens: Iterable[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> tuple[str, ...]:
@@ -90,16 +124,14 @@ def normalize_tokens(
     stem can land on a stopword or a single character ("beings" -> "be",
     "ies" -> "i"). Output tokens are fixpoints of the whole function, so
     normalizing an already normalized list is the identity.
+
+    Each raw token is normalized once per process and stopword set; a kept
+    token has at least two characters, so the memo's "" means dropped.
     """
-    out = []
-    for token in tokens:
-        token = token.lower()
-        if not _keep(token, stopwords):
-            continue
-        stem = _stem_fixpoint(token)
-        if stem == token or _keep(stem, stopwords):
-            out.append(stem)
-    return tuple(out)
+    memo = _NORMALIZED.get(stopwords)
+    if memo is None:
+        memo = _NORMALIZED[stopwords] = _Normalized(stopwords)
+    return tuple(filter(None, map(memo.__getitem__, tokens)))
 
 
 def tokenize_text(

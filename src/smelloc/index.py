@@ -5,6 +5,12 @@ gives the first baseline; the second multiplies each cosine by a logistic
 function of the document's min-max-normalized token count, which favors
 larger modules. Both return per-module score maps; rank() orders one by
 score, ties by module id.
+
+Building counts each document's tokens with Counter, in C, and saving
+joins each document's text once. Within one call, each distinct 1 + ln tf
+is computed once and each distinct weight formatted once; those memos go
+with the call. The per-posting steps stay plain loops, which CPython 3.11
+runs faster than the same steps as chains of map.
 """
 
 from __future__ import annotations
@@ -12,8 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
+from itertools import chain, count
+from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .stopwords import read_json
 
@@ -88,11 +97,13 @@ def _index(
     doc_lists: list[list[int]] = [[] for _ in vocabulary]
     weight_lists: list[list[float]] = [[] for _ in vocabulary]
     doc_norms = []
+    # A loop, not map(list.append, ...): CPython 3.11 specializes these
+    # appends, and the loop measured faster.
     for i, (terms, weights) in enumerate(vectors):
         for tid, weight in zip(terms, weights):
             doc_lists[tid].append(i)
             weight_lists[tid].append(weight)
-        doc_norms.append(math.sqrt(math.fsum([w * w for w in weights])))
+        doc_norms.append(math.sqrt(math.fsum(map(mul, weights, weights))))
     postings = {tid: docs for tid, docs in enumerate(doc_lists) if docs}
     weights_by_term = {tid: weight_lists[tid] for tid in postings}
     return TermIndex(
@@ -102,46 +113,46 @@ def _index(
 
 
 def build_index(corpus: Sequence[TokenDocument]) -> TermIndex:
-    """Index a corpus; raises ValueError on an empty corpus or duplicate ids."""
+    """Index a corpus; raises ValueError on an empty corpus or duplicate ids.
+
+    Term ids number the terms in order of first occurrence. Each distinct
+    term frequency's 1 + ln tf is computed once, and every weight is that
+    factor times the term's idf, as the query side computes it.
+    """
     if not corpus:
         raise ValueError("empty corpus")
     n = len(corpus)
-    vocabulary: dict[str, int] = {}
-    df_counts: list[int] = []
-    tfs: list[dict[int, int]] = []
-    doc_lengths: dict[str, int] = {}
-    for doc in corpus:
-        if doc.id in doc_lengths:
-            raise ValueError(f"duplicate document id {doc.id!r}")
-        counts: dict[int, int] = {}
-        for term in doc.tokens:
-            tid = vocabulary.get(term)
-            if tid is None:
-                tid = len(vocabulary)
-                vocabulary[term] = tid
-                df_counts.append(0)
-            counts[tid] = counts.get(tid, 0) + 1
-        for tid in counts:
-            df_counts[tid] += 1
-        tfs.append(counts)
-        doc_lengths[doc.id] = len(doc.tokens)
-
-    idfs = [math.log(n / df) for df in df_counts]
+    doc_ids = [doc.id for doc in corpus]
+    tokens = [doc.tokens for doc in corpus]
+    doc_lengths = dict(zip(doc_ids, map(len, tokens)))
+    if len(doc_lengths) != n:
+        seen: set[str] = set()
+        duplicate = next(d for d in doc_ids if d in seen or seen.add(d))
+        raise ValueError(f"duplicate document id {duplicate!r}")
+    # Each document's term frequencies, its terms in order of first
+    # occurrence; so are the keys of their concatenation.
+    tfs = list(map(Counter, tokens))
+    df_by_term = Counter(chain.from_iterable(tfs))
+    vocabulary = dict(zip(df_by_term, count()))
+    doc_freq = tuple(df_by_term.values())
+    idfs = [math.log(n / df) for df in doc_freq]
+    tf_factor = {
+        tf: 1.0 + math.log(tf) for tf in set(chain.from_iterable(map(Counter.values, tfs)))
+    }
 
     def vectors():
         for counts in tfs:
             terms = []
             weights = []
-            for tid, tf in counts.items():
-                weight = (1.0 + math.log(tf)) * idfs[tid]
+            for term, tf in counts.items():
+                tid = vocabulary[term]
+                weight = tf_factor[tf] * idfs[tid]
                 if weight != 0.0:
                     terms.append(tid)
                     weights.append(weight)
             yield terms, weights
 
-    return _index(
-        vocabulary, tuple(df_counts), list(doc_lengths), doc_lengths, vectors()
-    )
+    return _index(vocabulary, doc_freq, doc_ids, doc_lengths, vectors())
 
 
 def _query_vector(query: TokenDocument, index: TermIndex) -> dict[int, float]:
@@ -227,27 +238,6 @@ def corpus_hash(corpus: Iterable[TokenDocument]) -> str:
     return digest.hexdigest()
 
 
-def _doc_vectors(
-    index: TermIndex, corpus: Sequence[TokenDocument]
-) -> Iterator[tuple[str, dict[str, float]]]:
-    """Each document's id and weights by term id string, in the order its
-    tokens first occur, one document at a time.
-
-    corpus is the one the index was built from. A term has a posting exactly
-    when its weight is nonzero, and then one per document that has it, in
-    document order: document i is the next unread entry of each.
-    """
-    read = dict.fromkeys(index.postings, 0)
-    for doc_id, doc in zip(index.doc_ids, corpus):
-        vec = {}
-        for tid in map(index.vocabulary.get, dict.fromkeys(doc.tokens)):
-            k = read.get(tid)
-            if k is not None:
-                read[tid] = k + 1
-                vec[str(tid)] = index.weights[tid][k]
-        yield doc_id, vec
-
-
 def save_index(
     index: TermIndex, path: str | Path, corpus_digest: str, corpus: Sequence[TokenDocument]
 ) -> None:
@@ -257,10 +247,13 @@ def save_index(
     term order; other document ids, or another order, raise ValueError
     naming path before anything is written.
 
-    The text is what json.dump of the payload writes, keys in this order.
-    Each part goes through json.dumps, which runs the C encoder where
-    json.dump runs the pure-Python one, and the document vectors go one at
-    a time, so the whole text is never held in memory.
+    The text is what json.dump of the payload writes, keys in this order,
+    with each document's weights by term id string in the order its tokens
+    first occur. The head goes through json.dumps, which runs the C encoder
+    where json.dump runs the pure-Python one. Each distinct weight is
+    formatted once, with the float.__repr__ that json uses, and the document
+    vectors are written one at a time, so the whole text is never held in
+    memory.
     """
     if [doc.id for doc in corpus] != index.doc_ids:
         raise ValueError(f"{path}: the corpus is not the one the index was built from")
@@ -273,11 +266,28 @@ def save_index(
             "doc_freq": list(index.doc_freq),
         }
     )
+    # A term has a posting exactly when its weight is nonzero, and then one
+    # per document that has it, in document order: document i's weight is
+    # the next unread entry of each of its terms.
+    read = dict.fromkeys(index.postings, 0)
+    # Each entry's text starts with its separator; a vector drops the first.
+    key = {tid: f', "{tid}": ' for tid in read}
+    distinct = set(chain.from_iterable(index.weights.values()))
+    text = dict(zip(distinct, map(float.__repr__, distinct)))
+    vocabulary = index.vocabulary
+    weights = index.weights
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "doc_vectors": {')
         sep = ""
-        for doc_id, vec in _doc_vectors(index, corpus):
-            fh.write(f"{sep}{json.dumps(doc_id)}: {json.dumps(vec)}")
+        for doc_id, doc in zip(index.doc_ids, corpus):
+            parts = []
+            for tid in map(vocabulary.get, dict.fromkeys(doc.tokens)):
+                k = read.get(tid)
+                if k is not None:
+                    read[tid] = k + 1
+                    parts.append(key[tid])
+                    parts.append(text[weights[tid][k]])
+            fh.write(f"{sep}{json.dumps(doc_id)}: {{{''.join(parts)[2:]}}}")
             sep = ", "
         fh.write('}, "doc_lengths": ' + json.dumps(index.doc_lengths) + "}")
 

@@ -13,7 +13,9 @@ counts keep the former min/max clamps and per-module updates, the sweep's
 pooling compares the zipped per-report columns at every grid point, a smell
 value is aggregated one module at a time from the whole report, score
 dumps go through one json.loads or json.dumps call per line, and JSON
-reports and the index cache go through json.dump.
+reports and the index cache go through json.dump. Token normalizing, index
+building and the cache writer also keep their former one-item-at-a-time
+loops, which the package's memoized versions must match.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from smelloc.combine import (
     _ahead_counts,
     normalize,
 )
+from smelloc.corpus import _stem_fixpoint
+from smelloc.index import TermIndex
 from smelloc.metrics import ranking_stats, report_stats
 from smelloc.smells import _aggregator, select_instances
 
@@ -617,6 +621,115 @@ def cosine_score_by_dicts(query, index: VectorIndex) -> dict[str, float]:
         if dnorm > 0.0:
             scores[doc_id] = min(1.0, dot / (qnorm * dnorm))
     return scores
+
+
+def normalize_tokens_by_loop(tokens, stopwords) -> tuple[str, ...]:
+    """The former normalize_tokens: one Python step per raw token, no memo
+    per stopword set (the stem fixpoints are still the package's)."""
+
+    def keep(token):
+        return len(token) > 1 and token not in stopwords and not token.isdigit()
+
+    out = []
+    for token in tokens:
+        token = token.lower()
+        if not keep(token):
+            continue
+        stem = _stem_fixpoint(token)
+        if stem == token or keep(stem):
+            out.append(stem)
+    return tuple(out)
+
+
+def _index_by_loop(vocabulary, doc_freq, doc_ids, doc_lengths, vectors) -> TermIndex:
+    """The former _index: postings appended and norms squared one weight at
+    a time."""
+    doc_lists: list[list[int]] = [[] for _ in vocabulary]
+    weight_lists: list[list[float]] = [[] for _ in vocabulary]
+    doc_norms = []
+    for i, (terms, weights) in enumerate(vectors):
+        for tid, weight in zip(terms, weights):
+            doc_lists[tid].append(i)
+            weight_lists[tid].append(weight)
+        doc_norms.append(math.sqrt(math.fsum([w * w for w in weights])))
+    postings = {tid: docs for tid, docs in enumerate(doc_lists) if docs}
+    weights_by_term = {tid: weight_lists[tid] for tid in postings}
+    return TermIndex(
+        vocabulary, doc_freq, doc_ids, doc_lengths,
+        doc_norms, postings, weights_by_term,
+    )
+
+
+def build_index_by_loop(corpus) -> TermIndex:
+    """The former build_index: term ids, counts and weights one token at a
+    time, with 1 + ln tf computed per posting."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    n = len(corpus)
+    vocabulary: dict[str, int] = {}
+    df_counts: list[int] = []
+    tfs: list[dict[int, int]] = []
+    doc_lengths: dict[str, int] = {}
+    for doc in corpus:
+        if doc.id in doc_lengths:
+            raise ValueError(f"duplicate document id {doc.id!r}")
+        counts: dict[int, int] = {}
+        for term in doc.tokens:
+            tid = vocabulary.get(term)
+            if tid is None:
+                tid = len(vocabulary)
+                vocabulary[term] = tid
+                df_counts.append(0)
+            counts[tid] = counts.get(tid, 0) + 1
+        for tid in counts:
+            df_counts[tid] += 1
+        tfs.append(counts)
+        doc_lengths[doc.id] = len(doc.tokens)
+
+    idfs = [math.log(n / df) for df in df_counts]
+
+    def vectors():
+        for counts in tfs:
+            terms = []
+            weights = []
+            for tid, tf in counts.items():
+                weight = (1.0 + math.log(tf)) * idfs[tid]
+                if weight != 0.0:
+                    terms.append(tid)
+                    weights.append(weight)
+            yield terms, weights
+
+    return _index_by_loop(
+        vocabulary, tuple(df_counts), list(doc_lengths), doc_lengths, vectors()
+    )
+
+
+def save_index_by_loop(index: TermIndex, path, corpus_digest: str, corpus) -> None:
+    """The former save_index: each document's {term id string: weight} dict
+    rebuilt one term at a time and written through json.dumps."""
+    head = json.dumps(
+        {
+            "format": "smelloc-index",
+            "version": 1,
+            "corpus_hash": corpus_digest,
+            "vocabulary": index.vocabulary,
+            "doc_freq": list(index.doc_freq),
+        }
+    )
+    read = dict.fromkeys(index.postings, 0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head[:-1] + ', "doc_vectors": {')
+        sep = ""
+        for doc_id, doc in zip(index.doc_ids, corpus):
+            vec = {}
+            for tid in map(index.vocabulary.get, dict.fromkeys(doc.tokens)):
+                k = read.get(tid)
+                if k is not None:
+                    read[tid] = k + 1
+                    vec[str(tid)] = index.weights[tid][k]
+            fh.write(f"{sep}{json.dumps(doc_id)}: {json.dumps(vec)}")
+            sep = ", "
+        fh.write('}, "doc_lengths": ' + json.dumps(index.doc_lengths) + "}")
 
 
 def average_precision_exhaustive(ordered, gold) -> float:

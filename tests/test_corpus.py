@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import random
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from smelloc.dataio import BugReport
 from smelloc.stemming import stem
 from smelloc.stopwords import DEFAULT_STOPWORDS, load_stopwords
 
-from _oracles import split_identifiers_loop, split_identifiers_re
+from _oracles import normalize_tokens_by_loop, split_identifiers_loop, split_identifiers_re
 from conftest import JAVA_SNAPSHOT, write_java_system
 
 
@@ -110,6 +111,75 @@ class TestTokenizeAgainstOracles:
         # stopwords of its first caller would fail the second set.
         for stopwords in (DEFAULT_STOPWORDS, _OTHER_STOPWORDS, DEFAULT_STOPWORDS):
             assert tokenize_text(text, stopwords) == _reference_tokens(text, stopwords)
+
+
+# Raw tokens as a caller may pass them: cased subtokens, stems that land
+# on a stopword or a single letter ("beings" -> "be", "ies" -> "i"), stems
+# that only _OTHER_STOPWORDS drops, numbers, and non-ASCII text.
+_RAW_TOKENS = st.lists(
+    st.sampled_from([
+        "beings", "Beings", "ies", "IES", "being", "Server", "SERVER", "server",
+        "Manager", "managers", "agreed", "URLs", "the", "The", "public", "is",
+        "42", "x", "X", "Store", "requests", "connection", "naïve", "\u0130",
+    ])
+    | st.text(alphabet=string.ascii_letters + string.digits + "éßİK", max_size=10),
+    max_size=20,
+)
+
+
+class TestNormalizeMemo:
+    """normalize_tokens keeps one memo per stopword set for the process."""
+
+    @settings(max_examples=300)
+    @given(_RAW_TOKENS)
+    def test_matches_loop_oracle_across_stopword_sets(self, tokens):
+        # Memos of earlier examples and tests stay filled, so a memo that
+        # served another set's tokens would differ from the oracle here.
+        equal_default = frozenset(list(DEFAULT_STOPWORDS))
+        assert equal_default == DEFAULT_STOPWORDS and equal_default is not DEFAULT_STOPWORDS
+        for stopwords in (DEFAULT_STOPWORDS, _OTHER_STOPWORDS, DEFAULT_STOPWORDS, equal_default):
+            assert normalize_tokens(tokens, stopwords) == normalize_tokens_by_loop(
+                tokens, stopwords
+            )
+
+    @staticmethod
+    def _text() -> str:
+        """A fixed text of identifiers in every case style, over common and
+        coined words."""
+        rng = random.Random(12736)
+        words = [
+            "store", "manager", "flush", "cache", "entry", "http", "server",
+            "connection", "agreed", "beings", "request", "url", "parse", "the",
+        ] + ["".join(rng.choice("aeioubcdklmnprst") for _ in range(rng.randint(2, 9)))
+             for _ in range(3000)]
+        styles = (str.lower, str.capitalize, str.upper)
+        identifiers = []
+        for _ in range(6000):
+            parts = [rng.choice(styles)(rng.choice(words)) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.2:
+                parts.append(str(rng.randint(0, 99)))
+            identifiers.append(rng.choice(("", "_")).join(parts))
+        return " ".join(identifiers)
+
+    def test_one_entry_per_distinct_raw_subtoken(self, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_NORMALIZED", {})
+        text = self._text()
+        # Another set first, so the stem memo that every set shares is warm
+        # and only the default set's memo is new below.
+        tokenize_text(text, _OTHER_STOPWORDS)
+        tracemalloc.start()
+        try:
+            tokenize_text(text, DEFAULT_STOPWORDS)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        memo = corpus_mod._NORMALIZED[DEFAULT_STOPWORDS]
+        subtokens = split_identifiers(text)
+        assert len(memo) == len(set(subtokens)) == 7087
+        assert memo.keys() == set(subtokens)
+        # The memo and its raw-subtoken keys; the values are the stem memo's
+        # strings or "". 600 kB, 85 bytes an entry, on CPython 3.11.
+        assert held < 150 * len(memo)
 
 
 class TestNormalizeTokens:

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smelloc.corpus import TokenDocument
@@ -24,10 +24,12 @@ from smelloc.index import (
 )
 
 from _oracles import (
+    build_index_by_loop,
     build_vector_index,
     cosine_dense,
     cosine_score_by_dicts,
     load_vector_index,
+    save_index_by_loop,
     save_vector_index,
 )
 
@@ -135,6 +137,11 @@ class TestBuildIndex:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate document id"):
             build_index([_doc("d1", "alpha"), _doc("d1", "beta")])
+        # The first id to repeat is named, as the loop oracle names it.
+        corpus = [_doc("a", "x"), _doc("b", "y"), _doc("b", "z"), _doc("a", "w")]
+        for build in (build_index, build_index_by_loop):
+            with pytest.raises(ValueError, match="^duplicate document id 'b'$"):
+                build(corpus)
 
 
 class TestCosine:
@@ -282,6 +289,54 @@ class TestAgainstVectorOracle:
             for index in (built, loaded):
                 assert self._hexed(cosine_score(query, index)) == self._hexed(want)
                 assert self._hexed(rvsm_score(query, index)) == self._hexed(want_rvsm)
+
+
+# Mostly small term frequencies, with a few large ones.
+_TF = st.integers(1, 4) | st.sampled_from([250, 9999])
+
+
+def _exact(index) -> tuple:
+    """Every field of an index, in order, with floats as float.hex."""
+    return (
+        list(index.vocabulary.items()), index.doc_freq, index.doc_ids,
+        list(index.doc_lengths.items()), [n.hex() for n in index.doc_norms],
+        [(tid, docs, [w.hex() for w in index.weights[tid]])
+         for tid, docs in index.postings.items()],
+        list(index.weights),
+    )
+
+
+class TestAgainstLoopOracle:
+    """build_index and save_index against their former one-item loops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.tuples(_TERMS, _TF), max_size=5), min_size=1, max_size=6),
+        everywhere=st.booleans(),
+    )
+    # A term in every document (weight 0), an empty document, and large tfs.
+    @example(docs=[[("alpha", 1)], [("beta", 2), ("alpha", 3)]], everywhere=True)
+    @example(docs=[[("beta", 2), ("alpha", 1)], [], [("alpha", 3)]], everywhere=False)
+    @example(docs=[[("gamma", 9999), ("beta", 1)], [("beta", 250)]], everywhere=False)
+    def test_index_and_cache_bytes_equal_the_loop_oracle(self, docs, everywhere):
+        corpus = [
+            TokenDocument(
+                id=f"d{i}",
+                tokens=tuple(term for term, tf in pairs for _ in range(tf))
+                + (("every",) if everywhere else ()),
+            )
+            for i, pairs in enumerate(docs)
+        ]
+        built = build_index(corpus)
+        oracle = build_index_by_loop(corpus)
+        assert _exact(built) == _exact(oracle)
+        digest = corpus_hash(corpus)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp, "ours.json"), Path(tmp, "theirs.json")
+            save_index(built, ours, digest, corpus)
+            save_index_by_loop(oracle, theirs, digest, corpus)
+            assert ours.read_bytes() == theirs.read_bytes()
+            assert _exact(load_index(ours, digest)) == _exact(built)
 
 
 class TestRank:
