@@ -12,14 +12,17 @@ The sweep is exact: at every grid point it gives the ranking a full stable
 sort by descending blended score would, with ties broken by ascending module
 id. It never builds that ranking. Each blended score is linear in alpha, so
 every other module passes a gold module at most once along the grid; the
-sweep counts, per gold module, how many modules lead it at each grid point,
-and compares the blended floats directly only next to a crossing.
+sweep finds, per gold module, the grid points where the count of modules
+leading it changes, and compares the blended floats directly only next to a
+crossing. A report's stats are constant between the change points of its
+gold modules, so they are looked up once per such segment.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .dataio import TechniqueScores
@@ -146,6 +149,7 @@ _STAT_INDEX = {metric: k for k, metric in enumerate(METRIC_NAMES)}
 
 _BETA_GRID = tuple(1.0 - alpha for alpha in ALPHA_GRID)
 _STEPS = len(ALPHA_GRID) - 1  # grid point i is alpha i / _STEPS
+_CHANGE_POINTS = range(1, len(ALPHA_GRID))  # grid indices past alpha 0
 
 # Where the line through two modules' endpoint differences lies within this
 # distance of zero, the sweep compares the blended floats themselves. On
@@ -191,7 +195,11 @@ def _reports(
 def _ahead_counts(
     score_vec: Sequence[float], smell_vec: Sequence[float], g: int
 ) -> list[int]:
-    """Per grid alpha, how many modules rank ahead of module g.
+    """Where the count of modules ranked ahead of module g changes over the
+    grid, as a difference array with one entry per grid alpha: entry 0 is
+    the count at alpha 0 and entry i the change from grid point i - 1 to i.
+    The count changes exactly at the nonzero entries; accumulating the
+    array gives the count at every grid point.
 
     Module j is ahead when its blended score is larger, or equal with j < g:
     the order of a stable reverse sort over ascending module indices. The
@@ -285,7 +293,8 @@ def _ahead_counts(
                     diff[i] += 1
                     diff[i + 1] -= 1
     diff[0] += ahead
-    return list(accumulate(diff[: last + 1]))
+    del diff[last + 1 :]
+    return diff
 
 
 def _sweep_stats(
@@ -301,9 +310,11 @@ def _sweep_stats(
     equals ranking the universe by a stable reverse sort at every grid
     point, without building or sorting any ranking.
 
-    A segment's stats depend only on its gold modules' ahead counts and the
-    report's gold count, so they are computed once per such key; memo keeps
-    them across calls, e.g. over every smell map of one system.
+    A report's segments start at alpha 0 and at every change point of its
+    gold modules' ahead counts, merged over those modules. A segment's stats
+    depend only on its gold modules' ahead counts and the report's gold
+    count, so they are computed once per such key; memo keeps them across
+    calls, e.g. over every smell map of one system.
     """
     if memo is None:
         memo = {}
@@ -313,12 +324,18 @@ def _sweep_stats(
     starts: list[list[tuple[int, tuple[float, ...]]]] = [[] for _ in range(points)]
     for r, report in enumerate(reports):
         gold_count = report.gold_count
-        ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
-        if not ahead:
+        diffs = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
+        if not diffs:
             starts[0].append((r, report_stats((), gold_count)))
             continue
-        i = 0
-        for counts, run in groupby(zip(*ahead)):
+        changed = diffs[0] if len(diffs) == 1 else list(map(any, zip(*diffs)))
+        change_points = list(compress(_CHANGE_POINTS, changed[1:]))
+        # Each gold module's count at every segment start, zipped per segment.
+        segments = zip(*[
+            accumulate(map(diff.__getitem__, change_points), initial=diff[0])
+            for diff in diffs
+        ])
+        for i, counts in zip(chain((0,), change_points), segments):
             key = (counts, gold_count)
             stats = memo.get(key)
             if stats is None:
@@ -326,7 +343,6 @@ def _sweep_stats(
                     sorted(c + 1 for c in counts), gold_count
                 )
             starts[i].append((r, stats))
-            i += len(list(run))
     current: list[tuple[float, ...]] = [()] * len(reports)
     count = float(len(reports))
     row = (0.0,) * _N_STATS
@@ -366,16 +382,13 @@ def _curve(stats_by_alpha: Sequence[tuple[float, ...]], metric: str) -> tuple[fl
     n = stats_by_alpha[0][5]  # every grid point pools the same reports
     if n == 0:
         raise ValueError("no bug reports")
-    index = _STAT_INDEX[metric]
-    return tuple(stats[index] / n for stats in stats_by_alpha)
+    stat = itemgetter(_STAT_INDEX[metric])
+    return tuple(map(truediv, map(stat, stats_by_alpha), repeat(n)))
 
 
 def _best_alphas(curve: Sequence[float]) -> tuple[tuple[float, ...], float]:
     best = max(curve)
-    return (
-        tuple(ALPHA_GRID[i] for i, v in enumerate(curve) if v == best),
-        best,
-    )
+    return tuple(compress(ALPHA_GRID, map(best.__eq__, curve))), best
 
 
 def sweep_alpha(

@@ -5,6 +5,15 @@ inputs, and a flag asserting the pipeline is free of random number use.
 JSON reports embed the manifest under a "manifest" key; CSV and JSON-lines
 outputs get a sidecar file next to them, since their formats have no room
 for nesting.
+
+JSON files are written as json.dump(obj, indent=2, allow_nan=False) writes
+them. The writer appends text pieces to a list and sends the list to the
+file, joined, whenever it holds _CHUNK pieces, so the text is streamed in
+bounded chunks. Float lists (the sweep curves) are joined in one call, each
+distinct float formatted once: a memo from float to its text lives for one
+file and starts over when it reaches _MEMO_CAP entries. -0.0 equals 0.0 and
+hashes alike, so the only zero the memo holds is 0.0, and a list that holds
+a zero and any value with its sign bit set is formatted without the memo.
 """
 
 from __future__ import annotations
@@ -13,8 +22,9 @@ import hashlib
 import json
 import math
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import __version__
 
@@ -75,35 +85,69 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _encode(obj, level: int) -> Iterator[str]:
-    """Yield the text json.dump(obj, indent=2, allow_nan=False) writes for
-    obj nested level deep. Dictionary keys must be strings."""
+# Pieces of text held before they go to the file, joined, in one write.
+_CHUNK = 256
+# Distinct floats whose text one report keeps; the memo starts over when full.
+_MEMO_CAP = 1 << 13
+
+
+def _join_floats(values: Sequence[float], sep: str, memo: dict[float, str]) -> str:
+    """The texts of a list of floats joined by sep, each distinct float
+    formatted once while memo holds it. -0.0 equals 0.0 and hashes alike, so
+    a list holding a zero uses memo only if no value has its sign bit set:
+    the only zero memo holds is 0.0."""
+    if len(values) > _MEMO_CAP or (
+        0.0 in values
+        and min(map(math.copysign, repeat(1.0, len(values)), values)) < 0.0
+    ):
+        return sep.join(map(float.__repr__, values))
+    try:
+        return sep.join(map(memo.__getitem__, values))
+    except KeyError:
+        pass
+    distinct = set(values)
+    new = distinct.difference(memo)
+    if len(memo) + len(new) > _MEMO_CAP:
+        memo.clear()
+        new = distinct
+    memo.update(zip(new, map(float.__repr__, new)))
+    return sep.join(map(memo.__getitem__, values))
+
+
+def _encode(obj, level: int, out: list[str], memo: dict[float, str], write) -> None:
+    """Append to out the text json.dump(obj, indent=2, allow_nan=False)
+    writes for obj nested level deep. Before each container, a full out goes
+    to write as one string and is emptied. memo maps floats to their text.
+    Dictionary keys must be strings."""
+    if len(out) >= _CHUNK:
+        write("".join(out))
+        out.clear()
     if isinstance(obj, (list, tuple)):
         if not obj:
-            yield "[]"
+            out.append("[]")
             return
         pad = "\n" + "  " * (level + 1)
         if set(map(type, obj)) == {float}:
             # Curves are long float lists: one join instead of one string
             # per number. A non-finite float is the only repr with an "n".
-            text = ("," + pad).join(map(float.__repr__, obj))
+            text = _join_floats(obj, "," + pad, memo)
             if "n" in text:
                 for value in obj:
                     _scalar(value)
-            yield "[" + pad + text + "\n" + "  " * level + "]"
+            out.append("[" + pad + text + "\n" + "  " * level + "]")
             return
         sep = "[" + pad
         for value in obj:
             if isinstance(value, (list, tuple, dict)):
-                yield sep
-                yield from _encode(value, level + 1)
+                out.append(sep)
+                _encode(value, level + 1, out, memo, write)
             else:
-                yield sep + _scalar(value)
+                out.append(sep + _scalar(value))
             sep = "," + pad
-        yield "\n" + "  " * level + "]"
+        out.append("\n" + "  " * level + "]")
     elif isinstance(obj, dict):
         if not obj:
-            yield "{}"
+            out.append("{}")
             return
         pad = "\n" + "  " * (level + 1)
         sep = "{" + pad
@@ -111,22 +155,24 @@ def _encode(obj, level: int) -> Iterator[str]:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             if isinstance(value, (list, tuple, dict)):
-                yield sep + _escape(key) + ": "
-                yield from _encode(value, level + 1)
+                out.append(sep + _escape(key) + ": ")
+                _encode(value, level + 1, out, memo, write)
             else:
-                yield sep + _escape(key) + ": " + _scalar(value)
+                out.append(sep + _escape(key) + ": " + _scalar(value))
             sep = "," + pad
-        yield "\n" + "  " * level + "}"
+        out.append("\n" + "  " * level + "}")
     else:
-        yield _scalar(obj)
+        out.append(_scalar(obj))
 
 
 def _write_json(obj, path: str | Path) -> None:
     """Write obj as json.dump(obj, indent=2, allow_nan=False) would, plus a
-    final newline. The text goes out piece by piece, never as one string."""
+    final newline, in chunks, with one float memo for the file."""
+    out: list[str] = []
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode(obj, 0))
-        fh.write("\n")
+        _encode(obj, 0, out, {}, fh.write)
+        out.append("\n")
+        fh.write("".join(out))
 
 
 def write_json_report(payload: dict, path: str | Path, manifest: dict) -> None:

@@ -9,11 +9,14 @@ with its dict-keyed dot products, the rank metrics count positions exhaustively
 and, separately, aggregate from each report's first gold rank, Cliff's
 delta is the O(n*m) double loop, relative risk is direct set counting,
 the alpha sweep fully sorts the universe at every grid point, the ahead
-counts keep the former min/max clamps and per-module updates, the sweep's
-pooling compares the zipped per-report columns at every grid point, a smell
+counts keep the former min/max clamps and per-module updates and,
+separately, the former expansion into all 101 counts, the sweep's segments
+come from grouping the zipped counts, its pooling compares the zipped
+per-report columns at every grid point, a smell
 value is aggregated one module at a time from the whole report, score
 dumps go through one json.loads or json.dumps call per line, and JSON
-reports and the index cache go through json.dump. Token normalizing, index
+reports and the index cache go through json.dump and, for reports,
+separately through the former chain of generators. Token normalizing, index
 building and the cache writer also keep their former one-item-at-a-time
 loops, which the package's memoized versions must match.
 """
@@ -39,11 +42,11 @@ from smelloc.combine import (
     _STEPS,
     ALPHA_GRID,
     TechniqueScores,
-    _ahead_counts,
     normalize,
 )
 from smelloc.corpus import _stem_fixpoint
 from smelloc.index import TermIndex
+from smelloc.manifest import _escape, _scalar
 from smelloc.metrics import ranking_stats, report_stats
 from smelloc.smells import _aggregator, select_instances
 
@@ -898,7 +901,7 @@ def sweep_stats_by_columns(reports, smell_vec):
     """
     columns = []  # per report, its stats at every grid alpha
     for report in reports:
-        ahead = [_ahead_counts(report.scores, smell_vec, g) for g in report.gold]
+        ahead = [ahead_counts_by_grid(report.scores, smell_vec, g) for g in report.gold]
         if not ahead:
             columns.append([report_stats((), report.gold_count)] * len(ALPHA_GRID))
             continue
@@ -915,6 +918,166 @@ def sweep_stats_by_columns(reports, smell_vec):
                 row[k] += stats[k]
             row[5] += 1.0
         out.extend([tuple(row)] * len(list(run)))
+    return out
+
+
+def ahead_counts_by_grid(
+    score_vec: Sequence[float], smell_vec: Sequence[float], g: int
+) -> list[int]:
+    """Per grid alpha, how many modules rank ahead of module g.
+
+    This was combine._ahead_counts before it returned its difference array:
+    it accumulates the array into all 101 counts.
+
+    Module j is ahead when its blended score is larger, or equal with j < g:
+    the order of a stable reverse sort over ascending module indices. The
+    blend is linear in alpha, so c_j - c_g follows the line
+    ds + alpha * (dh - ds) through the endpoint differences and changes sign
+    at most once; a difference array over the grid records where j is ahead.
+    Grid points where the line is within _NEAR_TIE of zero compare the
+    blended floats themselves.
+    """
+    sg = score_vec[g]
+    hg = smell_vec[g]
+    tol = _NEAR_TIE
+    neg = -tol
+    wide = tol * _STEPS
+    steps = float(_STEPS)
+    last = _STEPS
+    top = last + 1.0
+    ceil = math.ceil
+    floor = math.floor
+    alphas = ALPHA_GRID
+    betas = _BETA_GRID
+    diff = [0] * (last + 2)
+    ahead = 0  # modules ahead at every grid point, added to diff[0] at the end
+    cg = None
+    # The modules before g win exact ties, those from g on lose them.
+    for before, scores, smells in (
+        (True, score_vec[:g], smell_vec[:g]),
+        (False, score_vec[g:], smell_vec[g:]),
+    ):
+        for sj, hj in zip(scores, smells):
+            ds = sj - sg
+            dh = hj - hg
+            if ds > tol:
+                if dh > tol:
+                    ahead += 1
+                    continue
+            elif ds < neg and dh < neg:
+                continue
+            if dh == 0.0:
+                if ds == 0.0:
+                    # Equal inputs blend to equal floats at every alpha.
+                    if before:
+                        ahead += 1
+                    continue
+                if ds > wide or ds < -wide:
+                    # Equal smell: the score order holds below alpha 1, where
+                    # both blends are exactly h and the index breaks the tie.
+                    if ds > 0.0:
+                        ahead += 1
+                        diff[last] -= 1
+                    if before:
+                        diff[last] += 1
+                    continue
+            slope = dh - ds
+            if slope == 0.0:
+                # The line stays within tol of zero: every point is a near tie.
+                lo = 0
+                hi = last
+            else:
+                # Grid indices where |ds + alpha * slope| <= tol: lo in
+                # [0, last + 1] and hi in [-1, last], so an empty band keeps
+                # its side of the grid.
+                x0 = (neg - ds) / slope * steps
+                x1 = (tol - ds) / slope * steps
+                if x0 > x1:
+                    x0, x1 = x1, x0
+                if x0 <= 0.0:
+                    lo = 0
+                elif x0 >= top:
+                    lo = last + 1
+                else:
+                    lo = ceil(x0)
+                if x1 >= last:
+                    hi = last
+                elif x1 < 0.0:
+                    hi = -1
+                else:
+                    hi = floor(x1)
+                if slope > 0.0:  # behind before the band, ahead after it
+                    diff[hi + 1] += 1
+                else:  # ahead before the band, behind after it
+                    ahead += 1
+                    diff[lo] -= 1
+            if lo > hi:
+                continue
+            if cg is None:
+                cg = [b * sg + a * hg for a, b in zip(alphas, betas)]
+            for i in range(lo, hi + 1):
+                cj = betas[i] * sj + alphas[i] * hj
+                if cj > cg[i] or (cj == cg[i] and before):
+                    diff[i] += 1
+                    diff[i + 1] -= 1
+    diff[0] += ahead
+    return list(accumulate(diff[: last + 1]))
+
+
+def sweep_stats_by_groupby(
+    reports,
+    smell_vec: Sequence[float],
+    memo: dict[tuple[tuple[int, ...], int], tuple[float, ...]] | None = None,
+) -> list[tuple[float, ...]]:
+    """Per grid alpha: pooled outcome stats, as combine._sweep_stats gives.
+
+    This was combine._sweep_stats before it took segments from the change
+    points of the ahead counts: it zips every gold module's 101 counts from
+    ahead_counts_by_grid and finds the segments with groupby. memo is shared
+    across calls as the package's is.
+    """
+    if memo is None:
+        memo = {}
+    points = len(ALPHA_GRID)
+    # Per grid index, the reports whose stats change there: every report
+    # starts a segment at index 0, and another where a gold position moves.
+    starts: list[list[tuple[int, tuple[float, ...]]]] = [[] for _ in range(points)]
+    for r, report in enumerate(reports):
+        gold_count = report.gold_count
+        ahead = [ahead_counts_by_grid(report.scores, smell_vec, g) for g in report.gold]
+        if not ahead:
+            starts[0].append((r, report_stats((), gold_count)))
+            continue
+        i = 0
+        for counts, run in groupby(zip(*ahead)):
+            key = (counts, gold_count)
+            stats = memo.get(key)
+            if stats is None:
+                stats = memo[key] = report_stats(
+                    sorted(c + 1 for c in counts), gold_count
+                )
+            starts[i].append((r, stats))
+            i += len(list(run))
+    current: list[tuple[float, ...]] = [()] * len(reports)
+    count = float(len(reports))
+    row = (0.0,) * _N_STATS
+    out = []
+    for changes in starts:
+        if changes:
+            for r, stats in changes:
+                current[r] = stats
+            # A left fold from 0.0 in report order, as pooling at every grid
+            # point would add them; sum() compensates on Python 3.12+ and
+            # would change the last bits.
+            top1 = top5 = top10 = rr = ap = 0.0
+            for h1, h5, h10, r_r, a_p in current:
+                top1 += h1
+                top5 += h5
+                top10 += h10
+                rr += r_r
+                ap += a_p
+            row = (top1, top5, top10, rr, ap, count)
+        out.append(row)
     return out
 
 
@@ -1058,6 +1221,61 @@ def write_score_lines_by_json_dumps(path, rankings) -> None:
             for module, score in entries:
                 fh.write(json.dumps({"bug": bug_id, "module": module, "score": score}))
                 fh.write("\n")
+
+
+def _encode_by_generators(obj, level):
+    """Yield the text json.dump(obj, indent=2, allow_nan=False) writes for
+    obj nested level deep: manifest._encode before it appended to a list and
+    memoized float text."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        pad = "\n" + "  " * (level + 1)
+        if set(map(type, obj)) == {float}:
+            text = ("," + pad).join(map(float.__repr__, obj))
+            if "n" in text:
+                for value in obj:
+                    _scalar(value)
+            yield "[" + pad + text + "\n" + "  " * level + "]"
+            return
+        sep = "[" + pad
+        for value in obj:
+            if isinstance(value, (list, tuple, dict)):
+                yield sep
+                yield from _encode_by_generators(value, level + 1)
+            else:
+                yield sep + _scalar(value)
+            sep = "," + pad
+        yield "\n" + "  " * level + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "{" + pad
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if isinstance(value, (list, tuple, dict)):
+                yield sep + _escape(key) + ": "
+                yield from _encode_by_generators(value, level + 1)
+            else:
+                yield sep + _escape(key) + ": " + _scalar(value)
+            sep = "," + pad
+        yield "\n" + "  " * level + "}"
+    else:
+        yield _scalar(obj)
+
+
+def write_json_report_by_generators(payload, path, manifest) -> None:
+    """Write a JSON report with the manifest embedded, one generated piece
+    at a time, as manifest.write_json_report did before."""
+    document = dict(payload)
+    document["manifest"] = manifest
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_encode_by_generators(document, 0))
+        fh.write("\n")
 
 
 def write_json_report_by_json_dump(payload, path, manifest) -> None:

@@ -3,9 +3,10 @@
 import logging
 import math
 import random
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smelloc.combine import (
@@ -14,7 +15,7 @@ from smelloc.combine import (
     AlphaSweepResult,
     System,
     TechniqueScores,
-    _ahead_counts,
+    _Report,
     _reports,
     _sweep_stats,
     _system_task,
@@ -28,6 +29,7 @@ from smelloc.combine import (
     parse_config_label,
     sweep_alpha,
 )
+from smelloc.combine import _ahead_counts as _count_changes
 from smelloc.metrics import report_stats
 from smelloc.smells import (
     ALL_TYPE_NAMES,
@@ -38,11 +40,13 @@ from smelloc.smells import (
     smell_values,
 )
 
+from _oracles import ahead_counts_by_grid as _ahead_counts
 from _oracles import (
     ahead_counts_by_line,
     average_precision_exhaustive,
     first_gold_rank_exhaustive,
     sweep_stats_by_columns,
+    sweep_stats_by_groupby,
     sweep_stats_by_sorting,
 )
 from conftest import random_system
@@ -487,6 +491,95 @@ class TestAheadCounts:
         got = _ahead_counts(scores, smells, g)
         assert got == ahead_counts_by_line(scores, smells, g)
         assert got == _ahead_by_blending(scores, smells, g)
+
+
+def _accumulated(score_vec, smell_vec, g):
+    """The package's difference array, accumulated into counts per grid alpha."""
+    diff = _count_changes(score_vec, smell_vec, g)
+    assert len(diff) == len(ALPHA_GRID)
+    return list(accumulate(diff))
+
+
+class TestChangePoints:
+    """The counter's difference array, accumulated, equals the min/max counter
+    on the branch table and on random universes."""
+
+    def test_accumulates_to_former_counts_on_every_delta_pair(self):
+        for sg, hg in _GOLD_POINTS:
+            for ds in _DELTAS:
+                for dh in _DELTAS:
+                    scores = [sg + ds, sg, sg + ds]
+                    smells = [hg + dh, hg, hg + dh]
+                    assert _accumulated(scores, smells, 1) == ahead_counts_by_line(
+                        scores, smells, 1
+                    ), (ds, dh)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_ahead_universe())
+    def test_accumulates_to_former_counts_on_small_universes(self, universe):
+        scores, smells, g = universe
+        assert _accumulated(scores, smells, g) == ahead_counts_by_line(scores, smells, g)
+
+
+@st.composite
+def _change_point_case(draw):
+    """Reports over one universe and two smell maps. A report has up to three
+    gold modules, which often share their inputs so that their change points
+    coincide, and may have gold the universe lacks."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    vector = st.lists(_VALUES, min_size=n, max_size=n)
+    smell_maps = [draw(vector), draw(vector)]
+    reports = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        scores = draw(vector)
+        gold = sorted(draw(st.sets(st.integers(0, n - 1), max_size=3)))
+        if len(gold) > 1 and draw(st.booleans()):
+            for g in gold[1:]:
+                scores[g] = scores[gold[0]]
+                for smells in smell_maps:
+                    smells[g] = smells[gold[0]]
+        lacked = draw(st.integers(min_value=0 if gold else 1, max_value=1))
+        reports.append(_Report(tuple(scores), tuple(gold), len(gold) + lacked))
+    return reports, smell_maps
+
+
+# Gold modules 1 and 2 share their inputs, and the report names one module
+# the universe lacks. Under the first map module 0 passes both near alpha
+# 0.375 and module 3, of equal smell and higher score, falls behind both at
+# alpha 1 (grid index 100), where the blends tie and the index decides.
+_TWIN_GOLD_CASE = (
+    [
+        _Report((0.2, 0.5, 0.5, 0.9, 0.0), (1, 2), 3),
+        _Report((0.2, 0.5, 0.5, 0.9, 0.0), (3,), 1),
+    ],
+    [[1.0, 0.5, 0.5, 0.5, 0.25], [0.0, 0.5, 0.5, 1.0, 0.0]],
+)
+
+
+class TestChangePointSweep:
+    """Segments taken from the change points give the stats, float for float,
+    and the memo keys of the former groupby segments."""
+
+    def test_twin_gold_modules_change_at_the_same_points(self):
+        (report, _), (smell_vec, _) = _TWIN_GOLD_CASE
+        first, second = (
+            _count_changes(report.scores, smell_vec, g) for g in report.gold
+        )
+        changed = [i for i, d in enumerate(first) if i and d]
+        assert changed == [i for i, d in enumerate(second) if i and d] == [38, 100]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_change_point_case())
+    @example(_TWIN_GOLD_CASE)
+    def test_matches_former_sweeps_with_one_memo_over_two_maps(self, case):
+        reports, smell_maps = case
+        memo = {}
+        former_memo = {}
+        for smell_vec in smell_maps:
+            got = _hex(_sweep_stats(reports, smell_vec, memo))
+            assert got == _hex(sweep_stats_by_groupby(reports, smell_vec, former_memo))
+            assert got == _hex(sweep_stats_by_columns(reports, smell_vec))
+        assert memo == former_memo
 
 
 class TestSegmentMemo:

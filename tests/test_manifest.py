@@ -3,15 +3,16 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smelloc.manifest import build_manifest, write_json_report, write_sidecar_manifest
 
-from _oracles import write_json_report_by_json_dump
+from _oracles import write_json_report_by_generators, write_json_report_by_json_dump
 
 # Every code point, lone surrogates included, plus strings that need escapes.
 _TEXT = st.one_of(
@@ -61,9 +62,21 @@ def _both(payload, manifest):
         return out
 
 
+_CURVE = [0.1, 0.2, 0.1, 1 / 3]
+
+
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(_PAYLOADS, _PAYLOADS)
+    # Signed zeros in separate lists, in one list, after the memo holds 0.0,
+    # beside a negative value, and as scalars.
+    @example({"a": [0.5, 0.0], "b": [0.5, -0.0]}, {"c": [-0.0, 0.25], "d": [0.0]})
+    @example({"a": [0.0, -0.0, 0.25], "b": [-0.0, 0.0]}, {"c": 0.0, "d": -0.0})
+    @example({"a": [0.0, 0.5], "b": [-0.0, 0.5], "c": [0.5, -1.0, 0.0]}, {})
+    # One float list, and its copy, at two nesting levels.
+    @example({"a": _CURVE, "b": {"c": [_CURVE, list(_CURVE)]}}, {"d": [[_CURVE]]})
+    # Ints and bools that equal floats of the same list.
+    @example({"a": [1, 1.0, True, 0.5], "b": [True, 1.0, False, 0.0]}, {"c": [0.5, 2, 0.5]})
     def test_bytes_match_json_dump(self, payload, manifest):
         got, want = _both(payload, manifest)
         assert isinstance(want, bytes)
@@ -78,8 +91,11 @@ class TestJsonWriter:
             lambda v: (v,),
             lambda v: [1, v],
             lambda v: {"deep": [{"curve": [0.0, v]}]},
+            lambda v: {"a": [0.5, 0.25], "b": [0.25, 0.5, v]},
+            lambda v: {"a": [0.0, 0.5], "b": [0.5, 0.0, v]},
         ],
-        ids=["scalar", "float-list", "float-tuple", "mixed-list", "nested"],
+        ids=["scalar", "float-list", "float-tuple", "mixed-list", "nested",
+             "after-memo", "after-memo-zero"],
     )
     def test_non_finite_floats_raise_in_both(self, bad, place):
         assert _both({"x": place(bad)}, {}) == [ValueError, ValueError]
@@ -98,3 +114,23 @@ class TestJsonWriter:
         assert (tmp_path / "r.csv.manifest.json").read_text(encoding="utf-8") == (
             json.dumps(manifest, indent=2) + "\n"
         )
+
+    def test_many_distinct_floats_stream_with_bounded_memory(self, tmp_path):
+        # 200,000 distinct floats in curves of 100, each sharing half its
+        # values with the one before, then the first curves again after the
+        # float memo has started over.
+        curves = [[(k * 50 + i) / 7 for i in range(100)] for k in range(4000)]
+        payload = {"curves": curves + curves[:20], "long": curves[0] * 100}
+        path = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            write_json_report(payload, path, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The capped memo keeps the peak near 2 MB; without the cap it
+        # reaches about 27 MB.
+        assert peak < 6_000_000
+        former = tmp_path / "former.json"
+        write_json_report_by_generators(payload, former, {})
+        assert path.read_bytes() == former.read_bytes()
