@@ -93,9 +93,10 @@ _MEMO_CAP = 1 << 13
 
 def _join_floats(values: Sequence[float], sep: str, memo: dict[float, str]) -> str:
     """The texts of a list of floats joined by sep, each distinct float
-    formatted once while memo holds it. -0.0 equals 0.0 and hashes alike, so
-    a list holding a zero uses memo only if no value has its sign bit set:
-    the only zero memo holds is 0.0."""
+    formatted once while memo holds it. A list longer than _MEMO_CAP skips
+    memo. -0.0 equals 0.0 and hashes alike, so a list holding a zero uses
+    memo only if no value has its sign bit set: the only zero memo holds is
+    0.0."""
     if len(values) > _MEMO_CAP or (
         0.0 in values
         and min(map(math.copysign, repeat(1.0, len(values)), values)) < 0.0

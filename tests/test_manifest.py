@@ -118,7 +118,7 @@ class TestJsonWriter:
     def test_many_distinct_floats_stream_with_bounded_memory(self, tmp_path):
         # 200,000 distinct floats in curves of 100, each sharing half its
         # values with the one before, then the first curves again after the
-        # float memo has started over.
+        # float memo has started over, and one list longer than its cap.
         curves = [[(k * 50 + i) / 7 for i in range(100)] for k in range(4000)]
         payload = {"curves": curves + curves[:20], "long": curves[0] * 100}
         path = tmp_path / "r.json"
