@@ -8,8 +8,9 @@ to a provenance manifest. Exit codes: 0 success, 1 internal error, 2 usage
 or input error.
 
 Each process runs one command, so start-up is paid per command: this module
-holds only the parser, the run-config handling and main, and each command's
-body is a module of smelloc.commands that main imports on dispatch.
+holds only the parser, the run-config handling and main, main builds only
+the subparser of the command it runs, and each command's body is a module
+of smelloc.commands that main imports on dispatch.
 """
 
 from __future__ import annotations
@@ -41,21 +42,14 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="smelloc",
-        description="Smell-aware re-ranking for bug localization",
-    )
-    common = _common_flags()
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("index", parents=[common], help="build a TF-IDF index cache")
+def _index_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--extensions", nargs="+", default=[".java"])
     p.add_argument("--stopwords")
 
-    p = sub.add_parser("rank", parents=[common], help="rank modules per bug report")
+
+def _rank_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--technique", required=True, help="vsm, rvsm, or external:<name>")
     p.add_argument("--bugs", required=True)
     p.add_argument("--snapshot")
@@ -65,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("combine", parents=[common], help="blend scores with smells")
+
+def _combine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True)
     p.add_argument("--smells", required=True)
     p.add_argument("--bugs")
@@ -81,14 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score rankings against gold sets")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rankings", required=True)
     p.add_argument("--bugs", required=True)
     p.add_argument("--compare", help="baseline ranking dump for paired statistics")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("risk", parents=[common], help="relative-risk table and selectors")
+
+def _risk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--smells", required=True)
     p.add_argument("--modules", help="text file with one module id per line")
     p.add_argument("--snapshot", help="derive the universe from a source tree")
@@ -96,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--selectors-out")
 
-    p = sub.add_parser(
-        "config-search", parents=[common], help="evaluate every smell configuration"
-    )
+
+def _config_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--systems", nargs="+", required=True, help="system descriptor JSON files")
     p.add_argument("--technique", required=True)
     p.add_argument("--selectors", help="selector-set JSON (default: derived from the data)")
@@ -106,13 +102,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser(
-        "convert", parents=[common], help="convert an XML bug repository to bug-report JSON"
-    )
+
+def _convert_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bugrepo", required=True)
     p.add_argument("--strip-prefix", default="")
     p.add_argument("--out", required=True)
 
+
+# Each command's help line and the function that adds its own flags, in the
+# order -h lists them.
+_COMMANDS = {
+    "index": ("build a TF-IDF index cache", _index_flags),
+    "rank": ("rank modules per bug report", _rank_flags),
+    "combine": ("blend scores with smells", _combine_flags),
+    "evaluate": ("score rankings against gold sets", _evaluate_flags),
+    "risk": ("relative-risk table and selectors", _risk_flags),
+    "config-search": ("evaluate every smell configuration", _config_search_flags),
+    "convert": ("convert an XML bug repository to bug-report JSON", _convert_flags),
+}
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """The top level over one command's subparser. Its own errors, such as
+    unrecognized arguments, print the full parser's usage line."""
+
+    def error(self, message):
+        build_parser().error(message)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The CLI's parser. When argv starts with a command's name, only that
+    command's subparser is built, which parses argv and reports its errors
+    as the full parser does; otherwise (-h, an unknown command) every
+    command's is."""
+    one = bool(argv) and argv[0] in _COMMANDS
+    parser = (_OneCommandParser if one else argparse.ArgumentParser)(
+        prog="smelloc",
+        description="Smell-aware re-ranking for bug localization",
+    )
+    common = _common_flags()
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
+    for name in [argv[0]] if one else _COMMANDS:
+        help_text, add_flags = _COMMANDS[name]
+        add_flags(sub.add_parser(name, parents=[common], help=help_text))
     return parser
 
 
@@ -167,14 +201,14 @@ def _run_config_defaults(
     return defaults
 
 
-def _apply_run_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, argv
-) -> argparse.Namespace:
+def _apply_run_config(args: argparse.Namespace, argv) -> argparse.Namespace:
     """Parse argv again with the run config's values as the command's defaults.
 
     argparse then applies its own rule: a default holds only for a flag the
-    command line leaves out, so explicit flags win.
+    command line leaves out, so explicit flags win. The parser built here
+    has every command, since a key of another command's flag is allowed.
     """
+    parser = build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     command = commands[args.command]
     command.set_defaults(
@@ -185,11 +219,10 @@ def _apply_run_config(
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.run_config:
-            args = _apply_run_config(parser, args, argv)
+            args = _apply_run_config(args, argv)
         if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
         # The manifest records the command line parsed here, however main

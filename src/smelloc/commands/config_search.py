@@ -60,24 +60,18 @@ def run(args) -> int:
                                 for name, sweeps in row.sweeps.items()
                             },
                             "maximizers": {
-                                name: list(sweeps[metric].best_alphas)
+                                name: sweeps[metric].best_alphas
                                 for name, sweeps in row.sweeps.items()
                             },
                         }
                         for metric, value in row.values.items()
                     },
-                    "curves": {
-                        name: {m: list(c) for m, c in per_metric.items()}
-                        for name, per_metric in row.curves.items()
-                    },
+                    "curves": row.curves,
                 }
                 for row in report.rows
             ],
             "ideal": report.ideal,
-            "ideal_choice": {
-                metric: {name: list(pick) for name, pick in choice.items()}
-                for metric, choice in report.ideal_choice.items()
-            },
+            "ideal_choice": report.ideal_choice,
             "validation": validation.to_json_dict(),
         }
         manifest.write_json_report(payload, args.out, provenance)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from datetime import datetime, timezone
+import time
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -37,6 +37,16 @@ def hash_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _isoformat_utc(t: float) -> str:
+    """datetime.fromtimestamp(t, timezone.utc).isoformat(), without the
+    datetime import that every command would pay for: microseconds rounded
+    half to even, and left out when zero."""
+    frac, whole = math.modf(t)
+    seconds, us = divmod(int(whole) * 1_000_000 + round(frac * 1e6), 1_000_000)
+    text = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6]
+    return f"{text}.{us:06d}+00:00" if us else f"{text}+00:00"
+
+
 def build_manifest(
     command: Sequence[str],
     inputs: Mapping[str, str | Path],
@@ -48,7 +58,7 @@ def build_manifest(
         "tool": "smelloc",
         "version": __version__,
         "command": list(command),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _isoformat_utc(time.time()),
         "inputs": {
             name: {"path": str(path), "sha256": hash_file(path)}
             for name, path in inputs.items()

@@ -59,11 +59,11 @@ def read_utf8(path: str | Path) -> str:
         raise utf8_error(path) from None
 
 
-def read_json(path: str | Path):
+def read_json(path: str | Path, parse_float=None):
     """The JSON value of a UTF-8 file; malformed JSON raises a ValueError
-    naming the file and line."""
+    naming the file and line. parse_float is json.loads's."""
     try:
-        return json.loads(read_utf8(path))
+        return json.loads(read_utf8(path), parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
 

@@ -45,10 +45,11 @@ from smelloc.combine import (
     normalize,
 )
 from smelloc.corpus import _stem_fixpoint
-from smelloc.index import TermIndex
+from smelloc.index import TermIndex, _from_payload
 from smelloc.manifest import _escape, _scalar
 from smelloc.metrics import ranking_stats, report_stats
 from smelloc.smells import _aggregator, select_instances
+from smelloc.stopwords import read_json
 
 # The score-dump oracles warn under the loader's own logger name.
 logger = logging.getLogger("smelloc.dataio")
@@ -733,6 +734,26 @@ def save_index_by_loop(index: TermIndex, path, corpus_digest: str, corpus) -> No
             fh.write(f"{sep}{json.dumps(doc_id)}: {json.dumps(vec)}")
             sep = ", "
         fh.write('}, "doc_lengths": ' + json.dumps(index.doc_lengths) + "}")
+
+
+def load_index_by_read_json(path, corpus_digest=None) -> TermIndex:
+    """The former load_index: the cache decoded by plain read_json, which
+    parses every weight where it appears."""
+    payload = read_json(path)
+    unrecognized = f"{path}: unrecognized index cache"
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != "smelloc-index"
+        or payload.get("version") != 1
+    ):
+        raise ValueError(unrecognized)
+    try:
+        index = _from_payload(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(unrecognized) from exc
+    if corpus_digest is not None and payload["corpus_hash"] != corpus_digest:
+        raise ValueError(f"stale index cache {path}")
+    return index
 
 
 def average_precision_exhaustive(ordered, gold) -> float:

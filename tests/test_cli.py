@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import smelloc
-from smelloc.cli import main
+from smelloc.cli import build_parser, main
 from smelloc.index import load_index
 from smelloc.smells import ALL_TYPE_NAMES
 
@@ -1388,10 +1389,12 @@ class TestStrictInputs:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cache}{message}"
 
+    # The cache reader parses each distinct weight text once; json still
+    # reads an integer, 1e400 (inf) and NaN as before, and "07" is a key.
     @pytest.mark.parametrize("technique", ["vsm", "rvsm"])
     @pytest.mark.parametrize(
         "shape", ["length-missing", "term-out-of-range", "term-not-canonical",
-                  "weight-not-float"]
+                  "weight-not-float", "weight-1e400", "weight-nan"]
     )
     def test_inconsistent_index_cache_exits_2(self, java_system, tmp_path, capsys,
                                               shape, technique):
@@ -1399,17 +1402,21 @@ class TestStrictInputs:
         assert main(["index", "--snapshot", str(java_system["src"]),
                      "--out", str(cache)]) == 0
         payload = json.loads(cache.read_text(encoding="utf-8"))
-        doc_id, vec = next(iter(payload["doc_vectors"].items()))
-        tid = next(iter(vec))
+        doc_id, vec = next((d, v) for d, v in payload["doc_vectors"].items() if "7" in v)
+        tid = "7"
+        raw = {"weight-not-float": "1", "weight-1e400": "1e400", "weight-nan": "NaN"}
         if shape == "length-missing":
             del payload["doc_lengths"][doc_id]
         elif shape == "term-out-of-range":
             vec["9999999"] = 0.5
         elif shape == "term-not-canonical":
-            vec["0" + tid] = vec.pop(tid)
+            vec["07"] = vec.pop(tid)
         else:
-            vec[tid] = 1
-        cache.write_text(json.dumps(payload), encoding="utf-8")
+            vec[tid] = "weight"
+        text = json.dumps(payload)
+        if shape in raw:
+            text = text.replace('"weight"', raw[shape])
+        cache.write_text(text, encoding="utf-8")
         capsys.readouterr()
         rc = main(["rank", "--technique", technique, "--bugs", str(java_system["bugs"]),
                    "--index", str(cache), "--out", str(tmp_path / "r.jsonl")])
@@ -1783,6 +1790,56 @@ class TestStartup:
 
         assert smelloc.cli.STAT_METRICS == metrics.METRIC_NAMES
 
+    COMMANDS = ("index", "rank", "combine", "evaluate", "risk", "config-search", "convert")
+
+    @staticmethod
+    def _subparsers(parser) -> dict:
+        return next(a for a in parser._actions if a.dest == "command").choices
+
+    def test_help_and_unknown_command_list_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(self.COMMANDS) + "}" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert re.findall(r"[\w-]+", err.split("choose from ")[1]) == list(self.COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_equals_the_full_parsers(self, command, capsys):
+        # main builds only the dispatched command's subparser.
+        assert list(self._subparsers(build_parser([command, "-h"]))) == [command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        full = self._subparsers(build_parser())
+        assert list(full) == list(self.COMMANDS)
+        assert capsys.readouterr().out == full[command].format_help()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--technique", "vsm", "--bugs", "b", "--out", "o", "--bogus"],
+            ["rank", "--technique", "vsm"],
+            ["combine", "--scores", "s", "--smells", "m", "--out", "o", "--format", "xml"],
+            ["index", "--snapshot", "s", "--out", "o", "--jobs", "x"],
+        ],
+        ids=["top-level-unrecognized", "missing-required", "bad-choice", "bad-int"],
+    )
+    def test_usage_errors_equal_the_full_parsers(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        ours = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert ours == capsys.readouterr().err
+        assert ours.startswith("usage: smelloc")
+
     def test_cli_import_leaves_command_modules_unloaded(self):
         proc = _fresh_python(
             "-c",
@@ -1824,7 +1881,7 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1] == "False"
 
     # Start-up costs that the per-query commands do not need to pay.
-    STARTUP = ("dataclasses", "logging", "traceback")
+    STARTUP = ("dataclasses", "datetime", "logging", "traceback")
 
     def test_index_rank_and_evaluate_leave_startup_modules_unloaded(
         self, java_system, tmp_path

@@ -28,6 +28,7 @@ from _oracles import (
     build_vector_index,
     cosine_dense,
     cosine_score_by_dicts,
+    load_index_by_read_json,
     load_vector_index,
     save_index_by_loop,
     save_vector_index,
@@ -306,6 +307,18 @@ def _exact(index) -> tuple:
     )
 
 
+def _tf_corpus(docs, everywhere: bool) -> list[TokenDocument]:
+    """Documents from (term, tf) pairs, each with "every" if everywhere."""
+    return [
+        TokenDocument(
+            id=f"d{i}",
+            tokens=tuple(term for term, tf in pairs for _ in range(tf))
+            + (("every",) if everywhere else ()),
+        )
+        for i, pairs in enumerate(docs)
+    ]
+
+
 class TestAgainstLoopOracle:
     """build_index and save_index against their former one-item loops."""
 
@@ -319,14 +332,7 @@ class TestAgainstLoopOracle:
     @example(docs=[[("beta", 2), ("alpha", 1)], [], [("alpha", 3)]], everywhere=False)
     @example(docs=[[("gamma", 9999), ("beta", 1)], [("beta", 250)]], everywhere=False)
     def test_index_and_cache_bytes_equal_the_loop_oracle(self, docs, everywhere):
-        corpus = [
-            TokenDocument(
-                id=f"d{i}",
-                tokens=tuple(term for term, tf in pairs for _ in range(tf))
-                + (("every",) if everywhere else ()),
-            )
-            for i, pairs in enumerate(docs)
-        ]
+        corpus = _tf_corpus(docs, everywhere)
         built = build_index(corpus)
         oracle = build_index_by_loop(corpus)
         assert _exact(built) == _exact(oracle)
@@ -337,6 +343,30 @@ class TestAgainstLoopOracle:
             save_index_by_loop(oracle, theirs, digest, corpus)
             assert ours.read_bytes() == theirs.read_bytes()
             assert _exact(load_index(ours, digest)) == _exact(built)
+
+
+class TestAgainstReadJsonOracle:
+    """load_index, which parses each distinct weight text once, against the
+    former decode by plain read_json."""
+
+    # Repeated term frequencies give repeated weights, within a document
+    # and across documents.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.tuples(_TERMS, _TF), max_size=6), min_size=1, max_size=8),
+        everywhere=st.booleans(),
+    )
+    @example(docs=[[("alpha", 2), ("beta", 2)], [("gamma", 2), ("beta", 2)]], everywhere=False)
+    def test_loaded_index_equals_the_oracle(self, docs, everywhere):
+        corpus = _tf_corpus(docs, everywhere)
+        built = build_index(corpus)
+        digest = corpus_hash(corpus)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "cache.json")
+            save_index(built, path, digest, corpus)
+            loaded = load_index(path, digest)
+            oracle = load_index_by_read_json(path, digest)
+        assert _exact(loaded) == _exact(oracle) == _exact(built)
 
 
 class TestRank:
@@ -427,6 +457,21 @@ class TestCache:
         path = tmp_path / "cache.json"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             save_index(idx, path, corpus_hash(corpus), other)
+        assert not path.exists()
+
+    # The index's corpus is a: x y, b: y z, c: z w; the saved one has the
+    # same ids and other tokens.
+    @pytest.mark.parametrize(
+        "saved",
+        [("y x", "z", "y z w"), ("x y", "y z", "z"), ("x y", "y z x", "z w")],
+        ids=["posting-of-another-document", "posting-unused", "past-the-last-posting"],
+    )
+    def test_save_rejects_other_tokens(self, tmp_path, saved):
+        corpus = [_doc("a", "x", "y"), _doc("b", "y", "z"), _doc("c", "z", "w")]
+        other = [_doc(doc_id, *text.split()) for doc_id, text in zip("abc", saved)]
+        path = tmp_path / "cache.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            save_index(build_index(corpus), path, corpus_hash(corpus), other)
         assert not path.exists()
 
     def test_unrecognized_cache_rejected(self, tmp_path):

@@ -4,13 +4,19 @@ import json
 import math
 import tempfile
 import tracemalloc
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smelloc.manifest import build_manifest, write_json_report, write_sidecar_manifest
+from smelloc.manifest import (
+    _isoformat_utc,
+    build_manifest,
+    write_json_report,
+    write_sidecar_manifest,
+)
 
 from _oracles import write_json_report_by_generators, write_json_report_by_json_dump
 
@@ -134,3 +140,24 @@ class TestJsonWriter:
         former = tmp_path / "former.json"
         write_json_report_by_generators(payload, former, {})
         assert path.read_bytes() == former.read_bytes()
+
+
+class TestTimestamp:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-2e9, 4e9))
+    # Whole seconds, a fraction that rounds up to the next second, half a
+    # microsecond either side of zero, and a leap day.
+    @example(1_700_000_000.0)
+    @example(0.0)
+    @example(1_700_000_000.9999996)
+    @example(5e-7)
+    @example(-5e-7)
+    @example(951_782_400.25)
+    def test_equals_datetime_isoformat(self, t):
+        assert _isoformat_utc(t) == datetime.fromtimestamp(t, timezone.utc).isoformat()
+
+    def test_manifest_timestamp_reads_back_as_utc(self):
+        stamp = build_manifest([], {})["timestamp"]
+        parsed = datetime.fromisoformat(stamp)
+        assert parsed.utcoffset().total_seconds() == 0
+        assert parsed.isoformat() == stamp
