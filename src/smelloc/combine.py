@@ -169,7 +169,8 @@ class _Report(NamedTuple):
 def _reports(
     system: System, scores: TechniqueScores, modules: tuple[str, ...]
 ) -> list[_Report]:
-    """Normalize every bug report's scores once over modules, the sorted universe."""
+    """Normalize every bug report's scores once over modules, the sorted
+    universe; modules a report's map skips score 0."""
     reports = []
     for bug_id in system.bug_ids:
         raw = scores.by_bug.get(bug_id, {})

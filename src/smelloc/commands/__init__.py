@@ -12,7 +12,9 @@ through a name bound when the command module was imported.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+from typing import Mapping
 
 from .. import manifest
 from ..log import get_logger
@@ -32,6 +34,14 @@ class UsageError(ValueError):
 
 def fmt(value: float) -> str:
     return f"{value:.4f}"
+
+
+def check_scores(path, bug_id: str, scores: Mapping[str, float]) -> None:
+    """Reject a dump's scores for one bug if any is NaN or infinite, naming
+    the dump, the bug and the first such module in dump order."""
+    if not all(map(math.isfinite, scores.values())):
+        module, value = next((m, v) for m, v in scores.items() if not math.isfinite(v))
+        raise UsageError(f"{path}: bug {bug_id!r}: invalid score for module {module!r}: {value}")
 
 
 def run_manifest(args, inputs, notes=()) -> dict:

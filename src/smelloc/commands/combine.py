@@ -3,10 +3,9 @@ over the whole alpha grid."""
 
 from __future__ import annotations
 
-import math
-
 from .. import combine, dataio, index, manifest, smells
-from . import UsageError, fmt, load_selectors, logger, require_file, run_manifest, write_csv
+from . import UsageError, check_scores, fmt, load_selectors, logger, require_file
+from . import run_manifest, write_csv
 
 
 def _inputs(args):
@@ -69,6 +68,8 @@ def run(args) -> int:
                 len(unscored),
                 ", ".join(unscored[:5]),
             )
+        for bug_id in bug_ids:
+            check_scores(args.scores, bug_id, scores.by_bug[bug_id])
         system = combine.System(
             name="input",
             modules=universe,
@@ -76,12 +77,7 @@ def run(args) -> int:
             gold={r.id: r.gold for r in reports},
             smells=instances,
         )
-        try:
-            result = combine.sweep_alpha(system, scores, config, metric)
-        except ValueError as exc:
-            # Every other input was checked as it was read; a score can
-            # still be NaN or infinite, and the sweep names its bug.
-            raise UsageError(f"{args.scores}: {exc}") from exc
+        result = combine.sweep_alpha(system, scores, config, metric)
         shape = combine.curve_shape(result)
         if args.format == "json":
             payload = {
@@ -110,17 +106,13 @@ def run(args) -> int:
     if not 0.0 <= alpha <= 1.0:
         raise UsageError(f"--alpha {alpha} outside [0, 1]")
     # The rankings are written as they are made, so a bad score must stop
-    # the run before --out is opened; normalize names its module.
+    # the run before --out is opened.
     for bug_id, per_bug in scores.by_bug.items():
-        if not all(map(math.isfinite, per_bug.values())):
-            try:
-                combine.normalize(_filled(per_bug, universe))
-            except ValueError as exc:
-                raise UsageError(f"{args.scores}: bug {bug_id!r}: {exc}") from exc
+        check_scores(args.scores, bug_id, per_bug)
     norm_smell = combine.normalize(smells.smell_values(universe, instances, config))
     rankings = (
         (bug_id, index.rank(combine.blend(
-            combine.normalize(_filled(per_bug, universe)), norm_smell, alpha
+            combine.normalize({m: per_bug.get(m, 0.0) for m in universe}), norm_smell, alpha
         )))
         for bug_id, per_bug in scores.by_bug.items()
     )
@@ -128,8 +120,3 @@ def run(args) -> int:
     manifest.write_sidecar_manifest(args.out, provenance)
     print(f"blended {len(scores.by_bug)} rankings at alpha {alpha:g} -> {args.out}")
     return 0
-
-
-def _filled(per_bug, universe) -> dict[str, float]:
-    """A bug's scores over the whole universe; modules it skips score 0."""
-    return {m: per_bug.get(m, 0.0) for m in universe}

@@ -6,7 +6,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from .. import dataio, index, manifest, metrics
-from . import STAT_METRICS, UsageError, fmt, require_file, run_manifest, write_csv
+from . import STAT_METRICS, UsageError, check_scores, fmt, require_file, run_manifest
+from . import write_csv
 
 
 def _outcomes_from_dump(path: Path, reports) -> list:
@@ -16,11 +17,9 @@ def _outcomes_from_dump(path: Path, reports) -> list:
         raise UsageError(f"{path}: no scores for bug reports {missing[:5]}")
     outcomes = []
     for report in reports:
-        try:
-            ranking = index.rank(scores.by_bug[report.id])
-        except ValueError as exc:
-            raise UsageError(f"{path}: bug {report.id!r}: {exc}") from exc
-        modules = [module for module, _ in ranking]
+        per_bug = scores.by_bug[report.id]
+        check_scores(path, report.id, per_bug)
+        modules = [module for module, _ in index.rank(per_bug)]
         outcomes.append(metrics.evaluate_ranking(modules, report.gold, report.id))
     return outcomes
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 from .. import dataio, index, manifest
-from . import UsageError, require_dir, require_file, run_manifest, stopword_set
+from . import UsageError, check_scores, require_dir, require_file, run_manifest
+from . import stopword_set
 
 
 def _term_index(args, stopwords: frozenset[str]) -> index.TermIndex:
@@ -57,17 +56,12 @@ def run(args) -> int:
             require_file(args.scores, "scores"), name, known_bugs=known
         )
         # The rankings are written as they are made, so a missing or bad
-        # score must stop the run before --out is opened; rank names its
-        # module.
+        # score must stop the run before --out is opened.
         for report in reports:
             per_bug = scores.by_bug.get(report.id)
             if per_bug is None:
                 raise UsageError(f"no scores for bug {report.id!r} in {args.scores}")
-            if not all(map(math.isfinite, per_bug.values())):
-                try:
-                    index.rank(per_bug)
-                except ValueError as exc:
-                    raise UsageError(f"{args.scores}: bug {report.id!r}: {exc}") from exc
+            check_scores(args.scores, report.id, per_bug)
         rankings = ((r.id, index.rank(scores.by_bug[r.id])) for r in reports)
         inputs = {"bugs": args.bugs, "scores": args.scores}
     else:

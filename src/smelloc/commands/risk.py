@@ -4,7 +4,7 @@ sets derived from it."""
 from __future__ import annotations
 
 from .. import dataio, manifest, risk
-from ..stopwords import read_utf8
+from ..stopwords import read_lines
 from . import UsageError, fmt, logger, require_dir, require_file, run_manifest
 
 
@@ -13,8 +13,7 @@ def run(args) -> int:
     if not smells:
         raise UsageError(f"smell report {args.smells} contains no instances")
     if args.modules:
-        lines = read_utf8(require_file(args.modules, "modules")).splitlines()
-        universe = {line.strip() for line in lines if line.strip()}
+        universe = set(read_lines(require_file(args.modules, "modules")))
         universe_input = args.modules
     elif args.snapshot:
         from .. import corpus

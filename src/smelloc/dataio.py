@@ -267,9 +267,9 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
 
     Only what the technique scores is read: the source files for a native
     technique, which ranks exactly the snapshot modules; the technique's own
-    dump for an external one. That dump may mention extra modules; those
-    stay in its universe, and universe modules it skips score 0 (they rank
-    at the bottom).
+    dump for an external one, as read. That dump may mention extra modules;
+    those stay in its universe, and universe modules it skips score 0 in the
+    sweep (they rank at the bottom).
     """
     from . import combine, corpus, index
 
@@ -277,17 +277,17 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
     if technique in NATIVE_TECHNIQUES:
         universe = snapshot.modules
         documents = corpus.build_corpus(descriptor.snapshot_path)
-        by_bug = dict(
+        scores = TechniqueScores(technique, dict(
             native_scores(index.build_index(documents), snapshot.reports, technique)
-        )
+        ))
     elif technique in descriptor.external_score_paths:
-        raw = load_external_scores(
+        scores = load_external_scores(
             descriptor.external_score_paths[technique],
             technique,
             known_bugs=[r.id for r in snapshot.reports],
         )
         extra = {
-            m for scores in raw.by_bug.values() for m in scores
+            m for per_bug in scores.by_bug.values() for m in per_bug
         } - set(snapshot.modules)
         if extra:
             logger.warning(
@@ -297,11 +297,7 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
                 len(extra),
             )
         universe = tuple(sorted(set(snapshot.modules) | extra))
-        by_bug = {}
-        filled = 0
-        for bug, scores in raw.by_bug.items():
-            filled += len(universe) - len(scores)
-            by_bug[bug] = {m: scores.get(m, 0.0) for m in universe}
+        filled = sum(len(universe) - len(m) for m in scores.by_bug.values())
         if filled:
             logger.warning(
                 "system %s technique %s: %d missing module scores filled with 0",
@@ -318,7 +314,7 @@ def prepare_system(snapshot: SystemSnapshot, technique: str) -> ScoredSystem:
         gold={r.id: r.gold for r in snapshot.reports},
         smells=snapshot.smells,
     )
-    return system, TechniqueScores(technique=technique, by_bug=by_bug)
+    return system, scores
 
 
 def filter_dataset(

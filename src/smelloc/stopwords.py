@@ -1,5 +1,5 @@
 """Default stopword sets, a loader for user-supplied lists, and the strict
-UTF-8 and JSON readers that every user-supplied file goes through.
+UTF-8, text-lines and JSON readers that every user-supplied file goes through.
 
 The default set is a standard English stopword list combined with the Java
 reserved words, since Java source is the default corpus language and its
@@ -81,10 +81,19 @@ def utf8_error(path: str | Path) -> ValueError:
     return ValueError(f"{path}: not valid UTF-8")
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The stripped, nonblank lines of a UTF-8 text file. A leading byte
+    order mark raises a ValueError naming line 1, instead of becoming part
+    of the first entry."""
+    text = read_utf8(path)
+    if text.startswith("\ufeff"):
+        raise ValueError(f"{path}:1: unexpected UTF-8 BOM")
+    return [line for line in map(str.strip, text.splitlines()) if line]
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list, one term per line; blank lines are skipped.
 
     Entries are lowercased so the set meets the normalizer's contract.
     """
-    terms = (line.strip().lower() for line in read_utf8(path).splitlines())
-    return frozenset(term for term in terms if term)
+    return frozenset(line.lower() for line in read_lines(path))

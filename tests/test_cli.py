@@ -1078,6 +1078,56 @@ class TestConfigSearchCommand:
         assert rc == 0
         assert len(_read_csv(out)) == 152
 
+    def test_external_dump_without_gold_lines_excludes_the_report(self, java_system,
+                                                                   tmp_path):
+        # A sixth report keeps five once B-2 is excluded.
+        root = java_system["root"]
+        bugs = [*JAVA_BUGS, {**JAVA_BUGS[0], "id": "B-6"}]
+        java_system["bugs"].write_text(json.dumps(bugs))
+        (root / "ext.jsonl").write_text("".join(
+            json.dumps({"bug": b["id"], "module": m, "score": 0.5}) + "\n"
+            for b in bugs for m in JAVA_SNAPSHOT
+            if b["id"] != "B-2" or m not in b["gold"]
+        ))
+        rec = json.loads(java_system["descriptor"].read_text())
+        rec["scores"] = {"ext": "ext.jsonl"}
+        descriptor = root / "ext.json"
+        descriptor.write_text(json.dumps(rec))
+        out = tmp_path / "search.json"
+        assert main(["config-search", "--systems", str(descriptor), "--technique", "ext",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert _read_json(out)["validation"] == {
+            "excluded_reports": [
+                {"system": "demo-1.0", "bug": "B-2", "reason": "no-gold-in-ranking"}
+            ],
+            "excluded_systems": [],
+        }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_external_dump_of_rvsm_gives_the_rvsm_report(self, tmp_path, jobs):
+        descriptors = []
+        for version in ("1.0", "2.0"):
+            system = write_java_system(tmp_path / version)
+            assert main(["rank", "--technique", "rvsm", "--bugs", str(system["bugs"]),
+                         "--snapshot", str(system["src"]),
+                         "--out", str(system["root"] / "ext.jsonl")]) == 0
+            rec = json.loads(system["descriptor"].read_text())
+            rec.update(version=version, scores={"ext": "ext.jsonl"})
+            system["descriptor"].write_text(json.dumps(rec))
+            descriptors.append(str(system["descriptor"]))
+        reports = {}
+        for technique in ("rvsm", "ext"):
+            out = tmp_path / f"{technique}.json"
+            assert main(["config-search", "--systems", *descriptors, "--technique",
+                         technique, "--format", "json", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            report = _read_json(out)
+            del report["manifest"]
+            assert report.pop("technique") == technique
+            # Dumped, every float keeps its bits, -0.0 included.
+            reports[technique] = json.dumps(report)
+        assert reports["ext"] == reports["rvsm"]
+
     @pytest.mark.parametrize("technique", ["rvsm", "ext"])
     def test_missing_snapshot_exits_2_naming_descriptor(self, java_system, tmp_path,
                                                         capsys, technique):
@@ -1199,27 +1249,35 @@ class TestConvertCommand:
 
 
 class TestStrictInputs:
-    @pytest.mark.parametrize("command", ["rank", "combine-alpha", "combine-sweep"])
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "evaluate-compare",
+                                         "combine-alpha", "combine-sweep"])
     def test_non_finite_score_names_dump_and_bug(self, hbase_fixture, tmp_path, capsys,
                                                  command):
+        # HLog comes first in the dump, BatchMutation first in module order.
+        bad = {"HLog": float("nan"), "BatchMutation": float("inf")}
         scores = tmp_path / "nan.jsonl"
         scores.write_text("".join(
             json.dumps({"bug": HBASE_BUG, "module": module,
-                        "score": float("nan") if module == "HLog" else value}) + "\n"
+                        "score": bad.get(module, value)}) + "\n"
             for module, value in HBASE_SCORES.items()
         ), encoding="utf-8")
         bugs, smells = str(hbase_fixture["bugs"]), str(hbase_fixture["smells"])
+        good = str(hbase_fixture["scores"])
         argv = {
-            "rank": ["rank", "--technique", "external:x", "--bugs", bugs],
-            "combine-alpha": ["combine", "--smells", smells, "--alpha", "0.5"],
-            "combine-sweep": ["combine", "--smells", smells, "--bugs", bugs, "--sweep"],
+            "rank": ["rank", "--technique", "external:x", "--bugs", bugs, "--scores"],
+            "evaluate": ["evaluate", "--bugs", bugs, "--rankings"],
+            "evaluate-compare": ["evaluate", "--bugs", bugs, "--rankings", good,
+                                 "--compare"],
+            "combine-alpha": ["combine", "--smells", smells, "--alpha", "0.5", "--scores"],
+            "combine-sweep": ["combine", "--smells", smells, "--bugs", bugs, "--sweep",
+                              "--scores"],
         }[command]
         out = tmp_path / "out"
-        assert main(argv + ["--scores", str(scores), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {scores}: bug {HBASE_BUG!r}: "), err
-        assert err.endswith(" score for module 'HLog': nan\n"), err
-        assert not out.exists()
+        assert main(argv + [str(scores), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scores}: bug {HBASE_BUG!r}: invalid score for module 'HLog': nan\n"
+        )
+        assert not list(tmp_path.glob("out*"))
 
     @staticmethod
     def _three_bug_inputs(tmp_path, score_of):
@@ -1269,6 +1327,16 @@ class TestStrictInputs:
                      "--scores", str(scores), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: no scores for bug 'B-3' in {scores}\n"
         assert not list(tmp_path.glob("out*"))
+
+    def test_rank_missing_bug_wins_over_a_later_bad_score(self, tmp_path, capsys):
+        # Bugs are checked in report order, whatever is wrong with each.
+        bugs, scores = self._three_bug_inputs(
+            tmp_path, lambda bug, module, value: {"B-2": None, "B-3": float("nan")}.get(
+                bug, value)
+        )
+        assert main(["rank", "--technique", "external:x", "--bugs", str(bugs),
+                     "--scores", str(scores), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: no scores for bug 'B-2' in {scores}\n"
 
     def test_alpha_blend_warns_once_per_negative_bug(self, hbase_fixture, tmp_path, caplog):
         _, scores = self._three_bug_inputs(
@@ -1444,6 +1512,23 @@ class TestStrictInputs:
         }[reader]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: not valid UTF-8: ")
+
+    @pytest.mark.parametrize("reader", ["stopwords", "modules"])
+    def test_text_lines_with_bom_exit_2_naming_line_1(self, java_system, tmp_path, capsys,
+                                                      reader):
+        # Read as text, the BOM would join the first stopword or module id.
+        bad = tmp_path / "bad"
+        bad.write_text("\ufeffcom/app/MathUtil.java\nstore\n", encoding="utf-8")
+        out = tmp_path / "x"
+        argv = {
+            "stopwords": ["index", "--snapshot", str(java_system["src"]),
+                          "--stopwords", str(bad)],
+            "modules": ["risk", "--smells", str(java_system["smells"]), "--modules",
+                        str(bad), "--bugs", str(java_system["bugs"])],
+        }[reader]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:1: unexpected UTF-8 BOM\n"
+        assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("reader", ["bugs", "smells", "scores"])
     def test_non_utf8_record_exits_2_naming_its_line(self, java_system, tmp_path, capsys,

@@ -31,7 +31,7 @@ from smelloc.dataset import (
     load_descriptor,
     validate_ranking,
 )
-from smelloc.smells import SMELL_TYPE_BY_NAME, SmellInstance
+from smelloc.smells import ALL_TYPE_NAMES, SELECTOR_NAMES, SMELL_TYPE_BY_NAME, SmellInstance
 
 from _oracles import load_external_scores_by_json_loads, write_score_lines_by_json_dumps
 from conftest import JAVA_BUGS, JAVA_SMELLS, JAVA_SNAPSHOT, write_hbase_fixture
@@ -798,6 +798,17 @@ def _forbid(monkeypatch, *names):
         monkeypatch.setattr(corpus if name == "build_corpus" else dataio, name, called)
 
 
+def _hexed(value):
+    """value with every float as float.hex, tuples and NamedTuples as lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_hexed(v) for v in value]
+    return value
+
+
 def _with_dumps(java_system, **dumps):
     """A descriptor for java_system naming a score dump per keyword, each
     written with the given text; returns the descriptor's path."""
@@ -854,6 +865,8 @@ class TestPrepareSystem:
         rows = [
             {"bug": "B-1", "module": "com/app/StoreManager.java", "score": 0.7},
             {"bug": "B-1", "module": "vendor/Lib.java", "score": 0.9},
+            {"bug": "B-2", "module": "com/app/LogWriter.java", "score": 0.6},
+            {"bug": "B-2", "module": "com/app/HttpConnection.java", "score": 0.4},
         ]
         ext.write_text("".join(json.dumps(r) + "\n" for r in rows))
         descriptor_path = java_system["root"] / "system2.json"
@@ -874,11 +887,22 @@ class TestPrepareSystem:
             system, scores = prepare_system(snapshot, "ext")
         assert "vendor/Lib.java" in system.modules
         assert len(system.modules) == len(snapshot.modules) + 1
-        # Universe modules the file skipped score 0.
-        assert scores.by_bug["B-1"]["com/app/LogWriter.java"] == 0.0
-        assert scores.by_bug["B-1"]["vendor/Lib.java"] == 0.9
-        assert any("outside the snapshot" in r.message for r in caplog.records)
-        assert any("filled with 0" in r.message for r in caplog.records)
+        assert [r.message for r in caplog.records] == [
+            "system demo-2.0 technique ext: 1 modules outside the snapshot kept",
+            "system demo-2.0 technique ext: 8 missing module scores filled with 0",
+        ]
+        # The maps stay as read; the search scores universe modules they
+        # skip 0, exactly as over a zero-filled copy.
+        assert scores.by_bug["B-1"] == {"com/app/StoreManager.java": 0.7,
+                                        "vendor/Lib.java": 0.9}
+        filled = combine.TechniqueScores("ext", {
+            bug: {m: per_bug.get(m, 0.0) for m in system.modules}
+            for bug, per_bug in scores.by_bug.items()
+        })
+        configs = combine.enumerate_configs(dict.fromkeys(SELECTOR_NAMES, ALL_TYPE_NAMES))
+        assert _hexed(combine.config_search([(system, scores)], configs)) == _hexed(
+            combine.config_search([(system, filled)], configs)
+        )
 
     def test_unknown_technique(self, java_system):
         snapshot = load_system(load_descriptor(java_system["descriptor"]))
