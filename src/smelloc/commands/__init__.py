@@ -36,12 +36,26 @@ def fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def check_scores(path, bug_id: str, scores: Mapping[str, float]) -> None:
-    """Reject a dump's scores for one bug if any is NaN or infinite, naming
-    the dump, the bug and the first such module in dump order."""
-    if not all(map(math.isfinite, scores.values())):
-        module, value = next((m, v) for m, v in scores.items() if not math.isfinite(v))
-        raise UsageError(f"{path}: bug {bug_id!r}: invalid score for module {module!r}: {value}")
+def dump_scores(path, by_bug: Mapping[str, Mapping[str, float]], bug_ids) -> list:
+    """Each report's score map from a dump, in the order of bug_ids.
+
+    The first report in that order with no scores, or with a NaN or infinite
+    score, stops the run with a message naming the dump and the bug, and the
+    first such module in dump order. Commands call this before they open any
+    output.
+    """
+    maps = []
+    for bug_id in bug_ids:
+        scores = by_bug.get(bug_id)
+        if scores is None:
+            raise UsageError(f"{path}: bug {bug_id!r}: no scores")
+        if not all(map(math.isfinite, scores.values())):
+            module, value = next((m, v) for m, v in scores.items() if not math.isfinite(v))
+            raise UsageError(
+                f"{path}: bug {bug_id!r}: invalid score for module {module!r}: {value}"
+            )
+        maps.append(scores)
+    return maps
 
 
 def run_manifest(args, inputs, notes=()) -> dict:

@@ -4,7 +4,7 @@ over the whole alpha grid."""
 from __future__ import annotations
 
 from .. import combine, dataio, index, manifest, smells
-from . import UsageError, check_scores, fmt, load_selectors, logger, require_file
+from . import UsageError, dump_scores, fmt, load_selectors, logger, require_file
 from . import run_manifest, write_csv
 
 
@@ -23,16 +23,12 @@ def _inputs(args):
     if not universe:
         raise UsageError(f"no scores in {scores_path}")
     selectors = load_selectors(args.selectors)
-    try:
-        g_label, aggregator, s_label = combine.parse_config_label(args.config)
-        if s_label not in selectors and s_label not in smells.ALL_TYPE_NAMES:
-            raise UsageError(
-                f"selector {s_label!r} is not derived (pass --selectors) "
-                "and is not a smell type"
-            )
-        config = combine.make_config(g_label, aggregator, s_label, selectors)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    g_label, aggregator, s_label = combine.parse_config_label(args.config)
+    if s_label not in selectors and s_label not in smells.ALL_TYPE_NAMES:
+        raise UsageError(
+            f"selector {s_label!r} is not derived (pass --selectors) and is not a smell type"
+        )
+    config = combine.make_config(g_label, aggregator, s_label, selectors)
     notes = []
     overall_min = min(
         (v for per_bug in scores.by_bug.values() for v in per_bug.values()),
@@ -44,6 +40,15 @@ def _inputs(args):
 
 
 def run(args) -> int:
+    # Flag rules first, so that a bad command line reads and hashes no file.
+    if args.sweep == (args.alpha is not None):
+        raise UsageError(
+            "pass exactly one of --alpha (a single blend) and --sweep (the grid)"
+        )
+    if args.sweep and not args.bugs:
+        raise UsageError("--sweep needs --bugs for the gold sets")
+    if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
+        raise UsageError(f"--alpha {args.alpha} outside [0, 1]")
     scores, instances, universe, config, reports, notes = _inputs(args)
     inputs = {"scores": args.scores, "smells": args.smells}
     if args.bugs:
@@ -53,8 +58,6 @@ def run(args) -> int:
     provenance = run_manifest(args, inputs, notes)
 
     if args.sweep:
-        if not args.bugs:
-            raise UsageError("--sweep needs --bugs for the gold sets")
         metric = args.metric
         bug_ids = tuple(r.id for r in reports if r.id in scores.by_bug)
         if not bug_ids:
@@ -68,8 +71,7 @@ def run(args) -> int:
                 len(unscored),
                 ", ".join(unscored[:5]),
             )
-        for bug_id in bug_ids:
-            check_scores(args.scores, bug_id, scores.by_bug[bug_id])
+        dump_scores(args.scores, scores.by_bug, bug_ids)
         system = combine.System(
             name="input",
             modules=universe,
@@ -101,14 +103,9 @@ def run(args) -> int:
         return 0
 
     alpha = args.alpha
-    if alpha is None:
-        raise UsageError("pass --alpha for a single blend or --sweep for the grid")
-    if not 0.0 <= alpha <= 1.0:
-        raise UsageError(f"--alpha {alpha} outside [0, 1]")
     # The rankings are written as they are made, so a bad score must stop
     # the run before --out is opened.
-    for bug_id, per_bug in scores.by_bug.items():
-        check_scores(args.scores, bug_id, per_bug)
+    dump_scores(args.scores, scores.by_bug, scores.by_bug)
     norm_smell = combine.normalize(smells.smell_values(universe, instances, config))
     rankings = (
         (bug_id, index.rank(combine.blend(

@@ -6,22 +6,19 @@ from __future__ import annotations
 from pathlib import Path
 
 from .. import dataio, index, manifest, metrics
-from . import STAT_METRICS, UsageError, check_scores, fmt, require_file, run_manifest
+from . import STAT_METRICS, UsageError, dump_scores, fmt, require_file, run_manifest
 from . import write_csv
 
 
 def _outcomes_from_dump(path: Path, reports) -> list:
-    scores = dataio.load_external_scores(path, "eval", known_bugs=[r.id for r in reports])
-    missing = [r.id for r in reports if r.id not in scores.by_bug]
-    if missing:
-        raise UsageError(f"{path}: no scores for bug reports {missing[:5]}")
-    outcomes = []
-    for report in reports:
-        per_bug = scores.by_bug[report.id]
-        check_scores(path, report.id, per_bug)
-        modules = [module for module, _ in index.rank(per_bug)]
-        outcomes.append(metrics.evaluate_ranking(modules, report.gold, report.id))
-    return outcomes
+    bug_ids = [r.id for r in reports]
+    scores = dataio.load_external_scores(path, "eval", known_bugs=bug_ids)
+    return [
+        metrics.evaluate_ranking(
+            [module for module, _ in index.rank(per_bug)], report.gold, report.id
+        )
+        for report, per_bug in zip(reports, dump_scores(path, scores.by_bug, bug_ids))
+    ]
 
 
 def run(args) -> int:

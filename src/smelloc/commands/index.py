@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .. import corpus, index, manifest
-from . import UsageError, require_dir, run_manifest, stopword_set
+from . import require_dir, run_manifest, stopword_set
 
 
 def run(args) -> int:
@@ -11,8 +11,6 @@ def run(args) -> int:
     documents = corpus.build_corpus(
         snapshot, extensions=tuple(args.extensions), stopwords=stopword_set(args)
     )
-    if not documents:
-        raise UsageError(f"no source files under {snapshot}")
     term_index = index.build_index(documents)
     digest = index.corpus_hash(documents)
     provenance = run_manifest(args, {}, (f"corpus sha256 {digest}",))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .. import dataio, index, manifest
-from . import UsageError, check_scores, require_dir, require_file, run_manifest
+from . import UsageError, dump_scores, require_dir, require_file, run_manifest
 from . import stopword_set
 
 
@@ -18,8 +18,6 @@ def _term_index(args, stopwords: frozenset[str]) -> index.TermIndex:
         documents = corpus.build_corpus(
             require_dir(args.snapshot, "snapshot"), stopwords=stopwords
         )
-        if not documents:
-            raise UsageError(f"no source files under {args.snapshot}")
     if args.index:
         # With a snapshot too, the cache must match its tokens under the
         # current stopwords; without one there is nothing to check against.
@@ -57,12 +55,8 @@ def run(args) -> int:
         )
         # The rankings are written as they are made, so a missing or bad
         # score must stop the run before --out is opened.
-        for report in reports:
-            per_bug = scores.by_bug.get(report.id)
-            if per_bug is None:
-                raise UsageError(f"no scores for bug {report.id!r} in {args.scores}")
-            check_scores(args.scores, report.id, per_bug)
-        rankings = ((r.id, index.rank(scores.by_bug[r.id])) for r in reports)
+        per_bug = dump_scores(args.scores, scores.by_bug, [r.id for r in reports])
+        rankings = ((r.id, index.rank(s)) for r, s in zip(reports, per_bug))
         inputs = {"bugs": args.bugs, "scores": args.scores}
     else:
         raise UsageError(

@@ -6,6 +6,7 @@ from __future__ import annotations
 from .. import dataio, manifest, risk
 from ..stopwords import read_lines
 from . import UsageError, fmt, logger, require_dir, require_file, run_manifest
+from . import write_csv
 
 
 def run(args) -> int:
@@ -57,8 +58,7 @@ def run(args) -> int:
     for i, path in enumerate(args.bugs):
         inputs[f"bugs{i}" if len(args.bugs) > 1 else "bugs"] = path
     provenance = run_manifest(args, inputs, notes)
-    risk.write_risk_csv(table, args.out)
-    manifest.write_sidecar_manifest(args.out, provenance)
+    write_csv(args.out, risk.risk_rows(table), provenance)
     selectors = risk.derive_selectors(table)
     if args.selectors_out:
         manifest.write_json_report(

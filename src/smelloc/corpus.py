@@ -176,10 +176,14 @@ def build_corpus(
 ) -> list[TokenDocument]:
     """Tokenize every file source_files lists under a snapshot root, in order.
 
-    A file that cannot be read raises ValueError naming its path.
+    A file that cannot be read, or a root with no source file, raises
+    ValueError naming the path.
     """
+    files = source_files(root, extensions)
+    if not files:
+        raise ValueError(f"no source files under {root}")
     corpus = []
-    for doc_id, path in source_files(root, extensions):
+    for doc_id, path in files:
         try:
             text = _read_file(path)
         except OSError as exc:

@@ -14,9 +14,7 @@ five type-selector sets used by configurations.
 
 from __future__ import annotations
 
-import csv
 import math
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .log import get_logger
@@ -144,10 +142,11 @@ def derive_selectors(table: RiskTable) -> dict[str, frozenset[str]]:
     if missing:
         raise ValueError(f"risk table missing smell types: {sorted(missing)}")
 
-    def rr_of(row: RiskRow) -> float | None:
-        return row.relative_risk
-
-    s2 = {n for n, row in table.rows.items() if rr_of(row) is not None and rr_of(row) > 1.0}
+    # Types with a defined relative risk, and that risk.
+    rr = {
+        n: row.relative_risk for n, row in table.rows.items() if row.relative_risk is not None
+    }
+    s2 = {n for n, value in rr.items() if value > 1.0}
     total_risk = table.total.risk
     s3 = {
         n
@@ -155,11 +154,7 @@ def derive_selectors(table: RiskTable) -> dict[str, frozenset[str]]:
         if row.risk is not None and total_risk is not None and row.risk > total_risk
     }
     total_rr = table.total.relative_risk
-    s4 = {
-        n
-        for n, row in table.rows.items()
-        if rr_of(row) is not None and total_rr is not None and rr_of(row) > total_rr
-    }
+    s4 = {n for n, value in rr.items() if total_rr is not None and value > total_rr}
     ranked = [row for row in sorted_rows(table) if row.relative_risk is not None]
     if len(ranked) <= 5:
         s5 = {row.type_name for row in ranked}
@@ -216,26 +211,24 @@ def _fmt_rr(value: float | None) -> str:
     return f"{value:.4f}"
 
 
-def write_risk_csv(table: RiskTable, path: str | Path) -> None:
-    """Export the table: one row per type by descending rr, then Total,
-    then an all-files line giving the universe-wide counts and bug rate."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["type", "modules", "buggy", "risk%", "risk*%", "rr"])
-        for row in sorted_rows(table) + [table.total]:
-            writer.writerow(
-                [
-                    row.type_name,
-                    row.module_count,
-                    row.buggy_count,
-                    _fmt_pct(row.risk),
-                    _fmt_pct(row.risk_complement),
-                    _fmt_rr(row.relative_risk),
-                ]
-            )
-        overall = (
-            table.buggy_total / table.module_total if table.module_total else None
-        )
-        writer.writerow(
-            ["All files", table.module_total, table.buggy_total, _fmt_pct(overall), "", ""]
-        )
+def risk_rows(table: RiskTable) -> list[list]:
+    """The table as CSV rows: a header, one row per type by descending rr,
+    then Total, then an all-files line giving the universe-wide counts and
+    bug rate."""
+    rows: list[list] = [["type", "modules", "buggy", "risk%", "risk*%", "rr"]]
+    rows += [
+        [
+            row.type_name,
+            row.module_count,
+            row.buggy_count,
+            _fmt_pct(row.risk),
+            _fmt_pct(row.risk_complement),
+            _fmt_rr(row.relative_risk),
+        ]
+        for row in sorted_rows(table) + [table.total]
+    ]
+    overall = table.buggy_total / table.module_total if table.module_total else None
+    rows.append(
+        ["All files", table.module_total, table.buggy_total, _fmt_pct(overall), "", ""]
+    )
+    return rows

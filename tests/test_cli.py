@@ -365,6 +365,38 @@ class TestCombineCommand:
         assert rc == 2
         assert "--alpha" in capsys.readouterr().err
 
+    def test_alpha_and_sweep_are_exclusive(self, hbase_fixture, tmp_path, capsys):
+        rc = main(["combine", "--scores", str(hbase_fixture["scores"]),
+                   "--smells", str(hbase_fixture["smells"]), "--bugs",
+                   str(hbase_fixture["bugs"]), "--alpha", "0.5", "--sweep",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: pass exactly one of --alpha (a single blend) and --sweep (the grid)\n"
+        )
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "0.5", "--sweep", "--bugs", "b.json"],
+             "pass exactly one of --alpha (a single blend) and --sweep (the grid)"),
+            ([], "pass exactly one of --alpha (a single blend) and --sweep (the grid)"),
+            (["--sweep"], "--sweep needs --bugs for the gold sets"),
+            (["--alpha", "1.5"], "--alpha 1.5 outside [0, 1]"),
+        ],
+        ids=["alpha-and-sweep", "neither", "sweep-without-bugs", "alpha-out-of-range"],
+    )
+    def test_flag_rules_checked_before_any_input_is_read(self, tmp_path, capsys, flags,
+                                                         message):
+        # The inputs do not exist: a flag rule must stop the run first.
+        rc = main(["combine", "--scores", str(tmp_path / "s.jsonl"),
+                   "--smells", str(tmp_path / "m.json"), *flags,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_csv(self, hbase_fixture, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(
@@ -627,7 +659,7 @@ class TestEvaluateCommand:
             ]
         )
         assert rc == 2
-        assert "no scores for bug reports" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {rankings}: bug 'B-2': no scores\n"
 
 
 class TestRiskCommand:
@@ -1149,6 +1181,43 @@ class TestConfigSearchCommand:
         )
         assert not out.exists()
 
+    def test_empty_snapshot_exits_2_naming_it(self, java_system, tmp_path, capsys):
+        for path in java_system["src"].rglob("*.java"):
+            path.unlink()
+        out = tmp_path / "search.csv"
+        rc = main(["config-search", "--systems", str(java_system["descriptor"]),
+                   "--technique", "rvsm", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: no source files under {java_system['src']}\n"
+        )
+        assert not out.exists()
+
+    def test_external_technique_runs_on_an_empty_snapshot(self, java_system, tmp_path):
+        # The dump alone gives an external technique's universe, so the
+        # search equals the rvsm search over the full snapshot.
+        root = java_system["root"]
+        assert main(["rank", "--technique", "rvsm", "--bugs", str(java_system["bugs"]),
+                     "--snapshot", str(java_system["src"]),
+                     "--out", str(root / "ext.jsonl")]) == 0
+        rec = json.loads(java_system["descriptor"].read_text())
+        rec.update(scores={"ext": "ext.jsonl"})
+        java_system["descriptor"].write_text(json.dumps(rec))
+
+        def search(technique):
+            out = tmp_path / f"{technique}.json"
+            assert main(["config-search", "--systems", str(java_system["descriptor"]),
+                         "--technique", technique, "--format", "json",
+                         "--out", str(out)]) == 0
+            report = _read_json(out)
+            del report["manifest"], report["technique"]
+            return json.dumps(report)
+
+        full = search("rvsm")
+        for path in java_system["src"].rglob("*.java"):
+            path.unlink()
+        assert search("ext") == full
+
 
 class TestUnreadableSource:
     """A source file that cannot be read ends every command that tokenizes
@@ -1325,7 +1394,7 @@ class TestStrictInputs:
         out = tmp_path / "out"
         assert main(["rank", "--technique", "external:x", "--bugs", str(bugs),
                      "--scores", str(scores), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: no scores for bug 'B-3' in {scores}\n"
+        assert capsys.readouterr().err == f"error: {scores}: bug 'B-3': no scores\n"
         assert not list(tmp_path.glob("out*"))
 
     def test_rank_missing_bug_wins_over_a_later_bad_score(self, tmp_path, capsys):
@@ -1336,7 +1405,42 @@ class TestStrictInputs:
         )
         assert main(["rank", "--technique", "external:x", "--bugs", str(bugs),
                      "--scores", str(scores), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: no scores for bug 'B-2' in {scores}\n"
+        assert capsys.readouterr().err == f"error: {scores}: bug 'B-2': no scores\n"
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate", "evaluate-compare"])
+    def test_missing_bug_names_dump_and_bug(self, tmp_path, capsys, command):
+        # One message for the rule, whichever command reads the dump.
+        bugs, scores = self._three_bug_inputs(
+            tmp_path, lambda bug, module, value: None if bug == "B-3" else value
+        )
+        good = tmp_path / "good.jsonl"
+        good.write_text("".join(
+            json.dumps({"bug": bug, "module": module, "score": value}) + "\n"
+            for bug in ("B-1", "B-2", "B-3") for module, value in HBASE_SCORES.items()
+        ), encoding="utf-8")
+        argv = {
+            "rank": ["rank", "--technique", "external:x", "--bugs", str(bugs), "--scores"],
+            "evaluate": ["evaluate", "--bugs", str(bugs), "--rankings"],
+            "evaluate-compare": ["evaluate", "--bugs", str(bugs), "--rankings", str(good),
+                                 "--compare"],
+        }[command]
+        assert main(argv + [str(scores), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {scores}: bug 'B-3': no scores\n"
+        assert not list(tmp_path.glob("out*"))
+
+    def test_evaluate_bad_score_wins_over_a_later_missing_bug(self, tmp_path, capsys):
+        # Reports are checked in order, whatever is wrong with each.
+        bugs, scores = self._three_bug_inputs(
+            tmp_path,
+            lambda bug, module, value: None if bug == "B-3"
+            else float("nan") if (bug, module) == ("B-2", "HLog") else value,
+        )
+        assert main(["evaluate", "--bugs", str(bugs), "--rankings", str(scores),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scores}: bug 'B-2': invalid score for module 'HLog': nan\n"
+        )
+        assert not list(tmp_path.glob("out*"))
 
     def test_alpha_blend_warns_once_per_negative_bug(self, hbase_fixture, tmp_path, caplog):
         _, scores = self._three_bug_inputs(
@@ -1961,6 +2065,18 @@ class TestStartup:
         argv = ["combine", "--scores", str(hbase_fixture["scores"]),
                 "--smells", str(hbase_fixture["smells"]), "--bugs", str(hbase_fixture["bugs"]),
                 "--sweep", "--config", "g3,a5,s1", "--out", str(tmp_path / "s.csv")]
+        proc = _fresh_python("-c", script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_config_search_json_leaves_csv_unloaded(self, java_system, tmp_path):
+        # Every CSV report goes through commands.write_csv, which imports csv.
+        script = (
+            "import sys, smelloc.cli; rc = smelloc.cli.main(sys.argv[1:]); "
+            "print('csv' in sys.modules); sys.exit(rc)"
+        )
+        argv = ["config-search", "--systems", str(java_system["descriptor"]),
+                "--technique", "rvsm", "--format", "json", "--out", str(tmp_path / "s.json")]
         proc = _fresh_python("-c", script, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"

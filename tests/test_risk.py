@@ -1,6 +1,7 @@
 """Tests for the relative-risk table and the derived type selectors."""
 
 import csv
+import io
 import logging
 import math
 import random
@@ -12,8 +13,8 @@ from smelloc.risk import (
     TOTAL_ROW_NAME,
     derive_selectors,
     relative_risk,
+    risk_rows,
     sorted_rows,
-    write_risk_csv,
 )
 
 from _oracles import relative_risk_by_counting
@@ -305,8 +306,15 @@ class TestDeriveSelectors:
         assert selectors["s4"] == frozenset()
 
 
+def _csv_rows(table):
+    """risk_rows(table) written as CSV and read back, cell text as in the file."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(risk_rows(table))
+    return list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+
+
 class TestRiskCsv:
-    def test_layout_and_formatting(self, tmp_path):
+    def test_layout_and_formatting(self):
         universe = [f"m{i}" for i in range(6)]
         buggy = ["m0", "m1"]
         instances = [
@@ -314,11 +322,7 @@ class TestRiskCsv:
             _inst("Blob Class", "m2"),
             _inst("God Class", "m3"),
         ]
-        table = relative_risk(universe, buggy, instances)
-        path = tmp_path / "risk.csv"
-        write_risk_csv(table, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = _csv_rows(relative_risk(universe, buggy, instances))
         assert rows[0] == ["type", "modules", "buggy", "risk%", "risk*%", "rr"]
         # 16 type rows, then Total, then the universe-wide line.
         assert len(rows) == 1 + 16 + 2
@@ -341,11 +345,8 @@ class TestRiskCsv:
         # Rows between the header and Total are rr-descending.
         assert rows[1][0] == "Blob Class"
 
-    def test_infinite_ratio_prints_inf(self, tmp_path):
+    def test_infinite_ratio_prints_inf(self):
         table = relative_risk(["a", "b"], ["a"], [_inst("Blob Class", "a")])
-        path = tmp_path / "risk.csv"
-        write_risk_csv(table, path)
-        with open(path, newline="") as fh:
-            rows = {r[0]: r for r in csv.reader(fh)}
+        rows = {r[0]: r for r in _csv_rows(table)}
         assert rows["Blob Class"][5] == "inf"
         assert rows["Blob Class"][3] == "100.0000"
